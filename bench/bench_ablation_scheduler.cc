@@ -1,7 +1,8 @@
 // Ablation — grouped-GEMM scheduler prefetch width (paper Sec. III-E2,
 // Fig. 7: claiming 32 tiles per scheduler visit gave ~10% on grouped GEMM),
 // plus the serving-executor ablation: synchronous round-robin Engine vs the
-// asynchronous pipelined AsyncEngine on the same Poisson arrival trace.
+// asynchronous pipelined one-replica Service on the same Poisson arrival
+// trace.
 //
 // The scheduler-visit overhead is proportionally largest when tiles are
 // small and numerous, so the ablation sweeps both a many-small-problems
@@ -17,7 +18,7 @@
 #include "attention/attention.h"
 #include "bench_common.h"
 #include "gemm/grouped.h"
-#include "serving/async_engine.h"
+#include "serving/service.h"
 
 namespace bt::bench {
 namespace {
@@ -198,10 +199,12 @@ void BM_AblationServingExecutor_Async(benchmark::State& state) {
   for (auto _ : state) {
     ServeTrace trace = ServeTrace::get(rps);
     latency_ms.assign(kServeRequests, 0.0);
-    serving::AsyncEngineOptions opts;
-    opts.engine = serve_engine_options();
-    opts.max_wait_seconds = 0.002;
-    serving::AsyncEngine engine(serving_model(), opts);
+    serving::EnginePoolOptions opts;
+    opts.engine.engine = serve_engine_options();
+    opts.engine.max_wait_seconds = 0.002;
+    serving::ModelRegistry registry;
+    registry.add("serve", serving_model(), opts);
+    serving::Service service(std::move(registry));
 
     std::vector<std::future<serving::Response>> futures;
     futures.reserve(static_cast<std::size_t>(kServeRequests));
@@ -212,7 +215,7 @@ void BM_AblationServingExecutor_Async(benchmark::State& state) {
           std::chrono::duration_cast<clock::duration>(
               std::chrono::duration<double>(
                   trace.arrivals[static_cast<std::size_t>(i)])));
-      futures.push_back(engine.submit(
+      futures.push_back(service.submit(
           std::move(trace.requests[static_cast<std::size_t>(i)])));
     }
     // Rounds pop from the queue front, so futures resolve in id order and
@@ -224,7 +227,7 @@ void BM_AblationServingExecutor_Async(benchmark::State& state) {
            trace.arrivals[static_cast<std::size_t>(i)]) *
           1e3;
     }
-    engine.stop();
+    service.stop();
   }
   report_latency(state, latency_ms);
 }

@@ -1,11 +1,11 @@
 // Serving-pool and serving-service scaling on saturating Poisson traces.
 //
-// BM_ServingPool — requests/s and end-to-end latency percentiles for an
-// EnginePool at 1/2/4 replicas on the same trace. The offered load (kRps)
-// is set well above one replica's service rate, so the measured requests/s
-// is the pool's capacity, not the arrival rate, and replica scaling (or its
-// absence — on a single-core host the replicas time-share one CPU) is
-// visible directly. bench/run_perf.sh merges the JSON into
+// BM_ServingPool — requests/s and end-to-end latency percentiles for a
+// one-model Service at 1/2/4 replicas on the same trace. The offered load
+// (kRps) is set well above one replica's service rate, so the measured
+// requests/s is the service's capacity, not the arrival rate, and replica
+// scaling (or its absence — on a single-core host the replicas time-share
+// one CPU) is visible directly. bench/run_perf.sh merges the JSON into
 // BENCH_serving.json; the perf-smoke CI job uploads it.
 //
 // BM_ServingService — the multi-model, sessionful front-end scenario: a
@@ -127,18 +127,20 @@ void BM_ServingPool(benchmark::State& state) {
 
   for (auto _ : state) {
     PoolTrace trace = PoolTrace::get(/*sessionful=*/false);
-    serving::EnginePool pool(
-        pool_model(),
+    serving::ModelRegistry registry;
+    registry.add(
+        "bert-a", pool_model(),
         pool_options(replicas, serving::RoutePolicy::kLeastOutstandingTokens));
+    serving::Service service(std::move(registry));
     const serving::ReplayResult replay = serving::replay_trace(
         trace.arrivals, std::move(trace.requests),
-        [&](serving::Request req) { return pool.submit(std::move(req)); });
+        [&](serving::Request req) { return service.submit(std::move(req)); });
     for (std::size_t i = 0; i < replay.done_seconds.size(); ++i) {
       latency_ms.push_back((replay.done_seconds[i] - trace.arrivals[i]) * 1e3);
     }
     serve_seconds += replay.last_done_seconds;
     served += kPoolRequests;
-    pool.stop();
+    service.stop();
   }
 
   report_replay(state, latency_ms, serve_seconds, served);

@@ -5,7 +5,7 @@
 #   BENCH_gemm.json    — GFLOP/s per kernel x shape x operand regime
 #   BENCH_fig15.json   — end-to-end BERT (BM_Fig15_ByteTransformer) ms and
 #                        tokens/s per kernel variant
-#   BENCH_serving.json — EnginePool requests/s and p50/p99 end-to-end
+#   BENCH_serving.json — one-model Service requests/s and p50/p99 end-to-end
 #                        latency at 1/2/4 replicas (BM_ServingPool, default
 #                        GEMM kernel dispatch)
 #   BENCH_serving_multimodel.json — multi-model + sticky-session Service

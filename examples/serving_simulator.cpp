@@ -5,8 +5,9 @@
 //
 // Requests arrive as a real-time Poisson process and are submitted to a
 // serving::Service from the arrival thread: a ModelRegistry maps
-// `--models N` model names to per-model EnginePool replica groups
-// (`--replicas` AsyncEngines each, sharing that model's weights), every
+// `--models N` model names to per-model replica groups (`--replicas`
+// scheduler threads in front of their own Engines, sharing that model's
+// weights), every
 // request carries a model key and optionally a session id (`--sessions`),
 // and the per-model router spreads requests over replicas — sticky-session
 // routing (`--sticky` or `--route sticky`) pins each session to the replica

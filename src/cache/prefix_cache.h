@@ -148,14 +148,15 @@ class PrefixCache {
   // Drop a session's entry (correctness action, counted as invalidation).
   void invalidate(const std::string& key);
 
-  // Sticky-routing observer (serving::EnginePool). Records which replica
-  // currently serves the session; when the pin MOVES (circuit-breaker
-  // quarantine re-routing the session), the session's cached state is
-  // dropped — the quarantined replica may have been faulty while building
-  // it (net/fault.h can corrupt a replica's arithmetic), and a migration is
-  // exactly the signal that its recent outputs are not trusted. Returns
-  // true iff a migration was detected. Sessions without a cached entry are
-  // not tracked (the side table stays bounded by cache occupancy).
+  // Sticky-routing observer (a Service replica group, serving/pool.h).
+  // Records which replica currently serves the session; when the pin MOVES
+  // (circuit-breaker quarantine re-routing the session), the session's
+  // cached state is dropped — the quarantined replica may have been faulty
+  // while building it (net/fault.h can corrupt a replica's arithmetic), and
+  // a migration is exactly the signal that its recent outputs are not
+  // trusted. Returns true iff a migration was detected. Sessions without a
+  // cached entry are not tracked (the side table stays bounded by cache
+  // occupancy).
   bool note_route(const std::string& key, int replica);
 
   CacheStats stats() const;

@@ -5,8 +5,8 @@
 // proves on every call path: clang's -Wthread-safety capability analysis
 // rejects any access to a BT_GUARDED_BY member without its mutex held and
 // any call to a BT_REQUIRES function without the named capability. The
-// serving stack is six lock-holding layers deep (ThreadPool -> AsyncEngine
-// -> EnginePool -> Service -> net::Server); TSan only sees the
+// serving stack is four lock-holding layers deep (ThreadPool -> a model's
+// replica group -> Service -> net::Server); TSan only sees the
 // interleavings a test happens to execute, while this analysis is the
 // static complement — it checks every path at compile time.
 //

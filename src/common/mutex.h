@@ -12,7 +12,8 @@
 //                    support: lock()/unlock() members let long-running
 //                    loops drop the lock for a compute section and retake
 //                    it, with the analysis tracking the state across both
-//                    edges (the AsyncEngine scheduler loop pattern).
+//                    edges (the replica scheduler loop pattern,
+//                    serving/pool.cc).
 //   bt::CondVar    — condition variable waiting directly on bt::Mutex.
 //                    wait()/wait_until() are BT_REQUIRES(mutex): callers
 //                    hold the lock, the wait releases and retakes it

@@ -3,7 +3,7 @@
 // The model holds its weights through `std::shared_ptr<const ModelWeights>`
 // and runs `config.layers` encoder iterations, dispatching to the DeBERTa
 // disentangled-attention layer when configured. Shared ownership is what
-// lets a serving::EnginePool run N replica engines against one physical
+// lets a serving::Service replica group run N engines against one physical
 // copy of the weights *and* the persistent pre-packed GEMM panels: every
 // replica's BertModel aliases the same storage, and pack_panels() runs
 // exactly once (it is idempotent), never per-replica. The contract is

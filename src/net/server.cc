@@ -42,7 +42,7 @@ constexpr std::size_t kRecvChunk = 16384;
 
 // Every error frame queued on the wire, by stable code — the wire-level
 // twin of the scheduler's serving.errors.* family (a backpressure decline
-// or duplicate correlation never reaches an AsyncEngine, so only this
+// or duplicate correlation never reaches a replica scheduler, so only this
 // layer can count it).
 obs::Counter& wire_error_counter(serving::ErrorCode code) {
   using serving::ErrorCode;

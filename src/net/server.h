@@ -1,8 +1,8 @@
 // Event-loop TCP front-end over serving::Service — sockets in, responses
 // out.
 //
-// Until this layer, "serving" ended at a C++ future: every tier below
-// (Engine -> AsyncEngine -> EnginePool -> Service) is an in-process API.
+// Until this layer, "serving" ended at a C++ future: the synchronous Engine
+// and the async Service in front of it are in-process APIs.
 // Server makes connections the unit of load: a poll(2)-driven event loop
 // accepts loopback TCP connections, speaks the length-prefixed protocol of
 // net/protocol.h, and fronts one serving::Service.

@@ -1,5 +1,5 @@
-// Per-request trace timelines: every sampled request that flows through an
-// AsyncEngine leaves a TraceRecord — timestamps for each scheduling stage
+// Per-request trace timelines: every sampled request that flows through a
+// Service replica's scheduler leaves a TraceRecord — timestamps for each scheduling stage
 // plus provenance (model, replica, round, batch shape, padded-vs-real
 // tokens) — in a bounded ring buffer, dumpable as JSON lines. This is what
 // decomposes a tail latency into queueing vs batching vs compute vs

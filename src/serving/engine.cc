@@ -129,26 +129,12 @@ void validate_request_id(const char* who, RequestId requested,
   }
 }
 
-void validate_request(const char* who, const Tensor<fp16_t>& hidden,
-                      std::int64_t hidden_dim, RequestId requested,
-                      const RequestIdTracker& ids) {
-  validate_request_shape(who, hidden, hidden_dim);
-  validate_request_id(who, requested, ids);
-}
-
-RequestId validate_and_reserve_id(const char* who,
-                                  const Tensor<fp16_t>& hidden,
-                                  std::int64_t hidden_dim, RequestId requested,
-                                  RequestIdTracker& ids) {
-  validate_request(who, hidden, hidden_dim, requested, ids);
+RequestId Engine::submit(Request req) {
+  validate_request_shape("Engine::submit", req.hidden, hidden());
+  validate_request_id("Engine::submit", req.id, ids_);
   // Auto-assignment stays disjoint from caller-supplied ids: the tracker's
   // next id is always one past the largest issued one.
-  return ids.reserve(requested);
-}
-
-RequestId Engine::submit(Request req) {
-  const RequestId id = validate_and_reserve_id("Engine::submit", req.hidden,
-                                               hidden(), req.id, ids_);
+  const RequestId id = ids_.reserve(req.id);
   queue_.push_back(
       Pending{id, std::move(req.hidden), Timer(), std::move(req.session)});
   return id;

@@ -15,10 +15,9 @@
 // Synchronous by design: run_batch() executes one scheduling round on the
 // calling thread (the engine's Device parallelizes the kernels), and the
 // object is not thread-safe — one thread owns it. For online traffic use
-// serving::AsyncEngine (serving/async_engine.h), the pipelined executor
-// that runs this Engine behind a background scheduler thread; replicated
-// and multi-model serving stack EnginePool (serving/pool.h) and Service
-// (serving/service.h) on top of the same Request/Response surface.
+// serving::Service (serving/service.h), the async front door: each of its
+// replicas runs one of these Engines behind a background scheduler thread,
+// on the same Request/Response surface.
 #pragma once
 
 #include <chrono>
@@ -72,8 +71,8 @@ struct EngineOptions {
   // with more live sessions than the cap costs a cache miss, never a round
   // of reallocation. Each retained workspace holds a full set of
   // activation-sized buffers, so the cache is opt-in: -1 (the default)
-  // means auto — disabled on a standalone Engine/AsyncEngine, while
-  // EnginePool raises it to kStickySessionWorkspaces for replicas of a
+  // means auto — disabled on a standalone Engine, while a Service replica
+  // group raises it to kStickySessionWorkspaces for replicas of a
   // pool routed with RoutePolicy::kStickySession (the policy whose whole
   // point is landing a session where its workspace is warm). 0 forces the
   // cache off even under sticky routing; > 0 sets the cap explicitly.
@@ -85,11 +84,11 @@ struct EngineOptions {
   // Requires flags.causal (the exactness prerequisite; causal itself
   // requires fused_mha) + flags.zero_padding, and a non-DeBERTa model; the
   // Engine constructor throws otherwise. The cache may be shared by many
-  // engines (EnginePool replicas, Service pools): it locks internally, and
-  // entries are scoped by cache_scope so models never exchange state.
+  // engines (every replica of every Service model): it locks internally,
+  // and entries are scoped by cache_scope so models never exchange state.
   std::shared_ptr<cache::PrefixCache> prefix_cache;
   // Key namespace for this engine's sessions, normally the registry model
-  // name (AsyncEngine copies its model_name here when unset; a bare Engine
+  // name (a Service replica group fills it in when unset; a bare Engine
   // may leave it empty). Two engines serving the SAME weights may share a
   // scope; engines serving different models never may.
   std::string cache_scope;
@@ -114,16 +113,16 @@ struct Request {
   RequestId id = -1;       // < 0: engine assigns the next sequential id
   Tensor<fp16_t> hidden;   // [length, hidden] valid rows only (no padding)
   // Optional SLO deadline. The synchronous Engine processes its queue in
-  // submission order and ignores it; AsyncEngine (and EnginePool replicas)
-  // pop earliest-deadline-first whenever any queued request carries one, a
+  // submission order and ignores it; Service replicas pop
+  // earliest-deadline-first whenever any queued request carries one, a
   // near/past deadline closes the batching window early, and a request whose
   // deadline passed before compute is shed with DeadlineExceeded. With no
   // deadlines anywhere the admission order is bitwise-identical to strict
   // FIFO.
   std::optional<Deadline> deadline = std::nullopt;
   // Registry key for multi-model serving. Consumed by serving::Service
-  // (std::nullopt = the service's default model); Engine/AsyncEngine/
-  // EnginePool ignore it — they serve exactly one model by construction.
+  // (std::nullopt = the service's default model); Engine ignores it — it
+  // serves exactly one model by construction.
   std::optional<std::string> model = std::nullopt;
   // Session identity for conversational traffic. Under
   // RoutePolicy::kStickySession the session is pinned to the replica that
@@ -189,29 +188,19 @@ class RequestIdTracker {
   std::map<RequestId, RequestId> gaps_;  // unissued [start, end) below next_
 };
 
-// The submission contract shared by Engine::submit and AsyncEngine (which
-// must enforce it on the caller thread, before the request ever reaches the
+// The submission contract shared by Engine::submit and Service (which
+// must enforce it on the caller thread, before the request ever reaches a
 // scheduler): validates the tensor shape and the id against `ids`, throwing
 // std::invalid_argument with `who` naming the API in the message. Mutates
-// nothing — AsyncEngine::try_submit uses it to report programming errors
-// even when it then declines the request for backpressure. The two halves
-// are also callable separately: Service runs the model-independent checks
-// (shape with hidden_dim < 0 = "any width", id) before it has resolved
-// which model — and so which hidden width — the request is for.
+// nothing — Service::try_submit uses it to report programming errors even
+// when it then declines the request for backpressure. Service runs the
+// model-independent checks (shape with hidden_dim < 0 = "any width", id)
+// before it has resolved which model — and so which hidden width — the
+// request is for.
 void validate_request_shape(const char* who, const Tensor<fp16_t>& hidden,
                             std::int64_t hidden_dim);
 void validate_request_id(const char* who, RequestId requested,
                          const RequestIdTracker& ids);
-void validate_request(const char* who, const Tensor<fp16_t>& hidden,
-                      std::int64_t hidden_dim, RequestId requested,
-                      const RequestIdTracker& ids);
-
-// validate_request, then reserves and returns the id — `requested` if >= 0,
-// else the next auto-assigned one.
-RequestId validate_and_reserve_id(const char* who,
-                                  const Tensor<fp16_t>& hidden,
-                                  std::int64_t hidden_dim, RequestId requested,
-                                  RequestIdTracker& ids);
 
 struct Response {
   RequestId id = -1;
@@ -229,8 +218,8 @@ struct Response {
   StageTimes stages;           // stage breakdown of the owning micro-batch
   // Provenance: which registered model / replica served the request, and
   // the session it belonged to. `model` is the registry name the serving
-  // tier was built under (empty on a bare Engine/AsyncEngine/EnginePool);
-  // `replica` is the EnginePool replica index (-1 outside a pool);
+  // tier was built under (empty on a bare Engine); `replica` is the
+  // replica index within the model's replica group (-1 on a bare Engine);
   // `session` echoes Request::session.
   std::string model;
   int replica = -1;
@@ -256,7 +245,7 @@ struct EngineStats {
   // retained session workspace, as of the last round.
   long long workspace_allocations = 0;
 
-  // Deadline accounting (AsyncEngine-maintained; the synchronous Engine
+  // Deadline accounting (Service-replica-maintained; the synchronous Engine
   // ignores deadlines and leaves these zero): responses resolved before /
   // after their deadline, and requests shed before compute.
   long long deadline_met = 0;
@@ -336,8 +325,8 @@ class Engine {
   std::vector<Response> drain();
 
   // Drops every queued (not yet computed) request and returns how many were
-  // discarded. Their ids stay burned. Used by AsyncEngine to clear the
-  // engine after a round failed mid-compute, so the leftovers cannot bleed
+  // discarded. Their ids stay burned. Used by a Service replica to clear
+  // the engine after a round failed mid-compute, so the leftovers cannot bleed
   // into the next round's responses.
   std::size_t discard_pending();
 

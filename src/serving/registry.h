@@ -4,7 +4,7 @@
 // which BertModel serves the name and how its replica group is shaped
 // (replica count, batching policy, routing policy, SLO window). It is plain
 // data — building one spins up nothing; handing it to serving::Service
-// (service.h) constructs one EnginePool per registered model.
+// (service.h) constructs one replica group (pool.h) per registered model.
 //
 //   serving::ModelRegistry registry;
 //   registry.add("bert-base", base_model, base_pool_opts)
@@ -41,9 +41,9 @@ struct StringKeyHash {
 
 struct ModelSpec {
   std::shared_ptr<const core::BertModel> model;
-  // Replica-group shape for this model. `model_name` is overwritten with
-  // the registry key by Service so Response::model always reports the name
-  // the request resolved to.
+  // Replica-group shape for this model. Service names the group by its
+  // registry key, so Response::model always reports the name the request
+  // resolved to.
   EnginePoolOptions pool;
 };
 

@@ -1,9 +1,9 @@
-// Request routing across engine replicas — the policy layer of EnginePool.
+// Request routing across engine replicas — the policy layer of a model's
+// replica group (EnginePool, pool.h).
 //
-// A Router decides which replica AsyncEngine receives each submitted
-// request, given a live load snapshot of every replica and the request's
-// routing attributes (RouteRequest: token count plus an optional session
-// key). Policies mirror the classic load-balancing ladder for replicated
+// A Router decides which replica receives each submitted request, given a
+// live load snapshot of every replica and the request's routing attributes
+// (RouteRequest: token count plus an optional session key). Policies mirror the classic load-balancing ladder for replicated
 // inference serving:
 //
 //   kRoundRobin                — cyclic assignment, load-blind. Determinate:
@@ -71,8 +71,8 @@ std::optional<RoutePolicy> parse_route_policy(std::string_view name);
 struct ReplicaLoad {
   std::size_t outstanding_requests = 0;  // accepted, future not yet resolved
   long long outstanding_tokens = 0;      // their total valid rows
-  // Cleared by EnginePool's circuit breaker for quarantined replicas (and
-  // half-open replicas with a probe already in flight). Routers skip
+  // Cleared by the replica group's circuit breaker for quarantined replicas
+  // (and half-open replicas with a probe already in flight). Routers skip
   // unavailable replicas; a sticky pin on one migrates. When EVERY replica
   // is unavailable the flag is ignored — routing somewhere beats dropping
   // (pool.cc re-marks all available before calling pick in that case).
@@ -90,9 +90,9 @@ struct RouteRequest {
   std::optional<std::string_view> session;  // sticky policies key on this
 };
 
-// Sticky pin capacity per router (i.e. per EnginePool). Beyond it the
-// least-recently-routed session's pin is evicted — that session re-pins by
-// load on its next request.
+// Sticky pin capacity per router (i.e. per model's replica group). Beyond
+// it the least-recently-routed session's pin is evicted — that session
+// re-pins by load on its next request.
 inline constexpr std::size_t kStickyMaxPins = 1 << 16;
 
 // Pluggable routing strategy. pick() returns the target replica index for

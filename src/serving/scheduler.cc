@@ -19,6 +19,40 @@ MicroBatch whole_batch(std::span<const int> lengths, bool packed) {
 
 }  // namespace
 
+std::vector<Group> group_by_length(std::span<const int> lengths,
+                                   int group_size) {
+  std::vector<int> order(lengths.size());
+  std::iota(order.begin(), order.end(), 0);
+  // stable_sort over the iota order: equal-length requests keep ascending
+  // submission-index order, so micro-batch composition is identical across
+  // platforms (std::sort leaves ties implementation-defined).
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return lengths[static_cast<std::size_t>(a)] >
+           lengths[static_cast<std::size_t>(b)];
+  });
+  if (group_size <= 0) group_size = static_cast<int>(lengths.size());
+
+  std::vector<Group> groups;
+  for (std::size_t i = 0; i < order.size(); i += static_cast<std::size_t>(group_size)) {
+    Group g;
+    const std::size_t end =
+        std::min(order.size(), i + static_cast<std::size_t>(group_size));
+    g.indices.assign(order.begin() + static_cast<std::ptrdiff_t>(i),
+                     order.begin() + static_cast<std::ptrdiff_t>(end));
+    g.max_len = lengths[static_cast<std::size_t>(g.indices.front())];
+    groups.push_back(std::move(g));
+  }
+  return groups;
+}
+
+long long padded_tokens(std::span<const Group> groups) {
+  long long total = 0;
+  for (const Group& g : groups) {
+    total += static_cast<long long>(g.indices.size()) * g.max_len;
+  }
+  return total;
+}
+
 BatchPlan plan_batch(BatchPolicy policy, std::span<const int> lengths,
                      int group_size) {
   BatchPlan plan;

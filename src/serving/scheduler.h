@@ -5,7 +5,9 @@
 //   * kPadToMax  — one micro-batch, every sequence padded to the batch max
 //                  (conventional frameworks);
 //   * kSortGroup — sort by length, chunk into groups of `group_size`, pad
-//                  each group to its own max (TurboTransformer SmartBatch);
+//                  each group to its own max (TurboTransformer SmartBatch
+//                  proxy: reduces but never eliminates padding, and
+//                  multiplies kernel launches per step);
 //   * kPacked    — one micro-batch run through the padding-free pipeline,
 //                  so the compute processes exactly the valid tokens
 //                  (ByteTransformer).
@@ -18,8 +20,6 @@
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "serving/batching.h"
 
 namespace bt::serving {
 
@@ -59,18 +59,33 @@ struct BatchPlan {
   long long padding_tokens() const { return processed_tokens - valid_tokens; }
 };
 
+// One kSortGroup partition: similar-length requests padded to a shared max.
+struct Group {
+  std::vector<int> indices;  // request indices, sorted by descending length
+  int max_len = 0;           // pad target for this group
+};
+
+// Partition `lengths` into groups of at most `group_size` requests with
+// similar lengths. group_size <= 0 means one group (pad-to-max).
+std::vector<Group> group_by_length(std::span<const int> lengths,
+                                   int group_size);
+
+// Total padded tokens a grouping processes (the waste metric).
+long long padded_tokens(std::span<const Group> groups);
+
 // Builds the execution plan for `lengths` under `policy`. `group_size` is
 // only meaningful for kSortGroup (<= 0 degenerates to one group, i.e.
 // pad-to-max geometry). Empty lengths yield an empty plan.
 BatchPlan plan_batch(BatchPolicy policy, std::span<const int> lengths,
                      int group_size);
 
-// Admission rule shared by Engine::run_batch and AsyncEngine's batching
-// window: queue-front requests up to the request cap, stopping at the token
-// cap but always admitting at least one (so an oversized request cannot
-// wedge the queue). `len_at(i)` returns the length of the i-th queued
-// request; keeping the rule in one place guarantees the async scheduler's
-// round-fullness predicate and the engine's actual round agree. When
+// Admission rule shared by Engine::run_batch and the Service replicas'
+// batching window (pool.cc): queue-front requests up to the request cap,
+// stopping at the token cap but always admitting at least one (so an
+// oversized request cannot wedge the queue). `len_at(i)` returns the
+// length of the i-th queued request; keeping the rule in one place
+// guarantees the async scheduler's round-fullness predicate and the
+// engine's actual round agree. When
 // `admitted_tokens_out` is non-null it receives the admitted prefix's token
 // total (the async scheduler uses it to recognize a token-saturated round).
 template <typename LenAt>

@@ -16,8 +16,8 @@ std::future<Response> resolved_error_future(std::exception_ptr error) {
   return promise.get_future();
 }
 
-// Unknown-model rejections never reach an AsyncEngine (the request enters
-// no pool), so the scheduler-side failure counters cannot see them; count
+// Unknown-model rejections never reach a replica (the request enters no
+// pool), so the scheduler-side failure counters cannot see them; count
 // them here at the only place they happen.
 obs::Counter& unknown_model_counter() {
   static obs::Counter& c =
@@ -43,9 +43,6 @@ Service::Service(ModelRegistry registry, ServiceOptions opts)
   for (const std::string& name : registry_.names()) {
     const ModelSpec& spec = registry_.spec(name);
     EnginePoolOptions pool_opts = spec.pool;
-    // Response::model must report the registry key the request resolved to,
-    // whatever label (usually none) the spec carried.
-    pool_opts.model_name = name;
     if (opts.prefix_cache_bytes > 0 &&
         pool_opts.engine.engine.flags.causal &&
         pool_opts.engine.engine.flags.zero_padding &&
@@ -60,50 +57,16 @@ Service::Service(ModelRegistry registry, ServiceOptions opts)
       pool_opts.engine.engine.prefix_cache = prefix_cache_;
     }
     index_.emplace(name, pools_.size());
-    pools_.push_back(std::make_unique<EnginePool>(spec.model, pool_opts));
+    // Response::model reports the registry key the request resolved to.
+    pools_.push_back(std::unique_ptr<EnginePool>(
+        new EnginePool(name, spec.model, pool_opts)));
   }
 }
 
 Service::~Service() { stop(); }
 
 std::future<Response> Service::submit(Request req) {
-  // Reference, not copy: the common sessionless/default-model submit must
-  // not allocate on the dispatch path.
-  const std::string& name =
-      req.model.has_value() ? *req.model : default_model_;
-  EnginePool* pool = nullptr;
-  {
-    MutexLock lock(mutex_);
-    if (stop_) {
-      throw ShutdownError("Service::submit: service is stopped");
-    }
-    // Model-independent programming errors (malformed tensor, duplicate id)
-    // throw on the caller thread even when the model name is unknown —
-    // otherwise a typo in the name would mask the real bug as a routing
-    // error. Only the hidden-width check must wait for model resolution.
-    validate_request_shape("Service::submit", req.hidden, /*hidden_dim=*/-1);
-    validate_request_id("Service::submit", req.id, ids_);
-    const auto it = index_.find(name);
-    if (it == index_.end()) {
-      // Routing error, not a programming error: resolve the future the
-      // caller already awaits instead of throwing, and burn no request id
-      // (the request never entered any pool).
-      unknown_model_counter().inc();
-      return resolved_error_future(std::make_exception_ptr(UnknownModelError(
-          "Service::submit: unknown model \"" + name + "\"")));
-    }
-    pool = pools_[it->second].get();
-    // The resolved model defines the hidden width — the one check that had
-    // to wait. The id was validated above under this same lock hold, so
-    // reserve directly (no second tracker lookup): service-wide ids mean
-    // the same caller-supplied id is rejected even across different
-    // models, and the pool sees an id its own tracker cannot collide on.
-    validate_request_shape("Service::submit", req.hidden, pool->hidden());
-    req.id = ids_.reserve(req.id);
-  }
-  // Hand off outside the service lock: one model's full replica queue must
-  // not stall dispatch (or id assignment) for every other model.
-  return pool->submit(std::move(req));
+  return *dispatch(std::move(req), /*block=*/true);
 }
 
 std::future<Response> Service::submit(Tensor<fp16_t> hidden) {
@@ -113,35 +76,59 @@ std::future<Response> Service::submit(Tensor<fp16_t> hidden) {
 }
 
 std::optional<std::future<Response>> Service::try_submit(Request req) {
+  return dispatch(std::move(req), /*block=*/false);
+}
+
+std::optional<std::future<Response>> Service::dispatch(Request req,
+                                                       bool block) {
+  const char* who = block ? "Service::submit" : "Service::try_submit";
+  // Reference, not copy: the common sessionless/default-model submit must
+  // not allocate on the dispatch path.
   const std::string& name =
       req.model.has_value() ? *req.model : default_model_;
   MutexLock lock(mutex_);
-  // Programming errors throw even when the request would be declined (the
-  // try_submit contract of every tier below).
-  validate_request_shape("Service::try_submit", req.hidden, /*hidden_dim=*/-1);
-  validate_request_id("Service::try_submit", req.id, ids_);
-  if (stop_) return std::nullopt;
+  // Model-independent programming errors (malformed tensor, duplicate id)
+  // throw on the caller thread even when the model name is unknown or the
+  // request would be declined — otherwise a typo in the name would mask
+  // the real bug as a routing error. Only the hidden-width check must wait
+  // for model resolution.
+  validate_request_shape(who, req.hidden, /*hidden_dim=*/-1);
+  validate_request_id(who, req.id, ids_);
+  if (stop_) {
+    if (!block) return std::nullopt;
+    throw ShutdownError("Service::submit: service is stopped");
+  }
   const auto it = index_.find(name);
   if (it == index_.end()) {
+    // Routing error, not a programming error: resolve the future the
+    // caller already awaits instead of throwing, and burn no request id
+    // (the request never entered any pool).
     unknown_model_counter().inc();
     return resolved_error_future(std::make_exception_ptr(UnknownModelError(
-        "Service::try_submit: unknown model \"" + name + "\"")));
+        std::string(who) + ": unknown model \"" + name + "\"")));
   }
-  EnginePool* pool = pools_[it->second].get();
-  validate_request_shape("Service::try_submit", req.hidden, pool->hidden());
-  // Two-phase id reservation, like EnginePool::try_submit: reserve the
-  // service-wide id only once the pool accepted, so a declined caller-
-  // supplied id can be resubmitted. Holding the service lock across the
-  // pool call is safe — the whole chain below is non-blocking, and pool
-  // locks are always taken after the service's, never the reverse. The
-  // hand-off cannot stall other models' blocking submits either: those
-  // release the service lock before their (blocking) pool hand-off.
-  const RequestId id = req.id >= 0 ? req.id : ids_.next();
-  if (id == std::numeric_limits<RequestId>::max()) {
+  EnginePool& pool = *pools_[it->second];
+  validate_request_shape(who, req.hidden, pool.hidden());
+  // Service-wide ids: the same caller-supplied id is rejected even across
+  // different models, and auto ids stay disjoint from caller-supplied ones.
+  req.id = req.id >= 0 ? req.id : ids_.next();
+  if (req.id == std::numeric_limits<RequestId>::max()) {
+    // Marking the maximum id would overflow the tracker's watermark.
     throw std::invalid_argument("Service: request id space exhausted");
   }
-  req.id = id;
-  auto fut = pool->try_submit(std::move(req));
+  const RequestId id = req.id;
+  if (block) {
+    // Hand off outside the service lock: one model's full replica queue
+    // must not stall dispatch (or id assignment) for every other model.
+    ids_.mark(id);
+    lock.unlock();
+    return pool.enqueue(std::move(req), /*block=*/true);
+  }
+  // Reserve only once the pool accepted, so a declined caller-supplied id
+  // can be resubmitted. Holding the service lock across the pool call is
+  // safe — it never blocks, and pool locks are always taken after the
+  // service's, never the reverse.
+  auto fut = pool.enqueue(std::move(req), /*block=*/false);
   if (fut.has_value()) ids_.mark(id);
   return fut;
 }
@@ -151,9 +138,9 @@ void Service::stop() {
     MutexLock lock(mutex_);
     stop_ = true;
   }
-  // Outside the service lock: each pool's stop() drains its replicas, and
+  // Outside the service lock: each pool's drain() empties its replicas, and
   // observers (pending/stats) must stay callable meanwhile.
-  for (auto& pool : pools_) pool->stop();
+  for (auto& pool : pools_) pool->drain();
 }
 
 bool Service::stopped() const {
@@ -161,7 +148,7 @@ bool Service::stopped() const {
   return stop_;
 }
 
-const EnginePool& Service::pool_at(std::string_view model) const {
+const EnginePool& Service::pool(std::string_view model) const {
   const auto it = index_.find(model);
   if (it == index_.end()) {
     throw std::out_of_range("Service: unknown model \"" + std::string(model) +
@@ -177,11 +164,7 @@ EngineStats Service::stats() const {
 }
 
 EngineStats Service::stats(std::string_view model) const {
-  return pool_at(model).stats();
-}
-
-const EnginePool& Service::pool(std::string_view model) const {
-  return pool_at(model);
+  return pool(model).stats();
 }
 
 void Service::publish_stats() const {

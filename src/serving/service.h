@@ -1,14 +1,19 @@
-// Multi-model, session-aware serving front-end — the top of the serving
-// API.
+// Multi-model, session-aware serving front-end — the one async API of the
+// serving stack.
 //
-// One EnginePool serves one model. Service is the tier above: a
-// ModelRegistry (registry.h) names the fleet, Service builds one EnginePool
-// replica group per registered model, and submit() dispatches each request
-// by its Request::model key (std::nullopt = the default model). Sessions
-// ride along: under RoutePolicy::kStickySession a model's router pins each
-// Request::session to the replica that served its first request, and that
-// replica's per-session workspace (EngineOptions::session_workspaces) makes
-// the follow-up allocation-free.
+// The synchronous Engine (engine.h) runs one scheduling round per call on
+// the calling thread. Service is its online counterpart: a ModelRegistry
+// (registry.h) names the fleet, Service builds one replica group
+// (EnginePool, pool.h) per registered model, and submit() dispatches each
+// request by its Request::model key (std::nullopt = the default model) and
+// returns a future. Each replica runs a background scheduler thread in
+// front of its own Engine — batching window, earliest-deadline-first
+// admission, deadline shedding, bounded queues — so round k's compute
+// overlaps the arrival of round k+1. Sessions ride along: under
+// RoutePolicy::kStickySession a model's router pins each Request::session
+// to the replica that served its first request, and that replica's
+// per-session workspace (EngineOptions::session_workspaces) makes the
+// follow-up allocation-free.
 //
 //   serving::ModelRegistry registry;
 //   registry.add("bert-base", base_model, pool_opts);
@@ -25,11 +30,11 @@
 //
 // Error contract
 //   * Malformed tensors and duplicate request ids are programming errors:
-//     submit() throws std::invalid_argument on the caller thread, exactly
-//     like the tiers below — even when the request also names an unknown
-//     model (the model-independent checks run first; only the hidden-width
-//     check needs the resolved model, so a wrong-width tensor aimed at an
-//     unknown model reports the unknown model). Ids are service-wide — the
+//     submit() throws std::invalid_argument on the caller thread — even
+//     when the request also names an unknown model (the model-independent
+//     checks run first; only the hidden-width check needs the resolved
+//     model, so a wrong-width tensor aimed at an unknown model reports the
+//     unknown model). Ids are service-wide and checked here only — the
 //     same id cannot be reused across different models.
 //   * An unknown model name is a routing error, not a programming error: it
 //     travels the async path the caller already handles — submit() returns
@@ -37,12 +42,12 @@
 //     scheduler thread, never a burned request id).
 //   * submit() after stop() throws std::runtime_error.
 //
-// Single-model equivalence
-//   A Service with one registered model adds a name lookup and a
-//   service-level id, nothing else: per-request outputs are bitwise
-//   identical to the same traffic on a bare EnginePool for every
-//   BatchPolicy (tests/test_service.cc pins this under concurrent
-//   submitters).
+// Equivalence with the synchronous Engine
+//   A request's output is a function of its content and the model only —
+//   not of the replica it landed on or the round composition there:
+//   per-request outputs are bitwise identical to Engine::drain on the same
+//   inputs for every BatchPolicy (tests/test_service.cc pins this at 1 and
+//   2 replicas under concurrent submitters).
 #pragma once
 
 #include <cstddef>
@@ -86,10 +91,10 @@ struct ServiceOptions {
 
 class Service {
  public:
-  // Builds one EnginePool per registered model (each pool's model_name is
-  // set to its registry key). Throws std::invalid_argument on an empty
-  // registry or a default_model that is not registered; per-pool option
-  // validation surfaces from the EnginePool constructors.
+  // Builds one EnginePool per registered model, named by its registry key.
+  // Throws std::invalid_argument on an empty registry or a default_model
+  // that is not registered; per-pool option validation surfaces from the
+  // EnginePool constructors.
   explicit Service(ModelRegistry registry, ServiceOptions opts = {});
   ~Service();  // stop()
 
@@ -105,11 +110,12 @@ class Service {
   // Non-blocking variant — the submission path of callers that must never
   // block on a full replica queue (the wire front-end's event loop).
   // Returns std::nullopt when the routed replica's queue is full or the
-  // service is stopped (the backpressure signal, same contract as
-  // EnginePool/AsyncEngine::try_submit); programming errors still throw,
-  // and an unknown model still comes back as an engaged future already
-  // resolved with UnknownModelError. A declined request burns no service-
-  // wide id — the same id can be resubmitted on retry.
+  // service is stopped (the backpressure signal); programming errors still
+  // throw, and an unknown model still comes back as an engaged future
+  // already resolved with UnknownModelError. A declined request burns no
+  // service-wide id — the same id can be resubmitted on retry. It does not
+  // shop around: a declined request re-enters routing on the caller's
+  // retry, when the loads have moved.
   std::optional<std::future<Response>> try_submit(Request req)
       BT_EXCLUDES(mutex_);
 
@@ -148,7 +154,10 @@ class Service {
   long long pending_tokens() const;
 
  private:
-  const EnginePool& pool_at(std::string_view model) const;
+  // submit (block) and try_submit (!block): validates, resolves the model,
+  // reserves the service-wide id and hands the request to its pool.
+  std::optional<std::future<Response>> dispatch(Request req, bool block)
+      BT_EXCLUDES(mutex_);
 
   // registry_, default_model_, pools_, and index_ are written only by the
   // constructor and immutable afterwards — concurrent submitters read them
@@ -163,9 +172,9 @@ class Service {
   std::unordered_map<std::string, std::size_t, StringKeyHash, std::equal_to<>>
       index_;
 
-  // Service-wide id tracker + stop flag. Ordered before every pool's lock:
-  // try_submit holds it across the (non-blocking) pool call, never the
-  // reverse.
+  // The stack's one id tracker + stop flag. Ordered before every pool's
+  // lock: try_submit holds it across the (non-blocking) pool call, never
+  // the reverse.
   mutable Mutex mutex_;
   RequestIdTracker ids_ BT_GUARDED_BY(mutex_);
   bool stop_ BT_GUARDED_BY(mutex_) = false;

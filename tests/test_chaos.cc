@@ -85,6 +85,12 @@ void expect_bits_equal(const Tensor<fp16_t>& got, const Tensor<fp16_t>& want) {
             0);
 }
 
+serving::Service make_service(serving::EnginePoolOptions opts) {
+  serving::ModelRegistry registry;
+  registry.add("tiny", tiny_model(), opts);
+  return serving::Service(std::move(registry));
+}
+
 // ---- retry backoff schedule -------------------------------------------------
 
 TEST(Chaos, RetryBackoffIsDeterministicAndBounded) {
@@ -137,12 +143,13 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   serving::EnginePoolOptions opts = pool_options(/*replicas=*/2);
   opts.breaker.failure_threshold = 3;
   opts.breaker.quarantine_seconds = 0.05;
-  serving::EnginePool pool(tiny_model(), opts);
+  serving::Service service = make_service(opts);
+  const serving::EnginePool& pool = service.pool("tiny");
 
   // Sequential submits tie-break to replica 0: three failing rounds in a
   // row, each surfacing as the retryable kInternal.
   for (int i = 0; i < 3; ++i) {
-    auto f = pool.submit(make_hidden(2, i));
+    auto f = service.submit(make_hidden(2, i));
     EXPECT_THROW(f.get(), serving::InternalError);
   }
   const serving::ReplicaHealth sick = pool.replica_health(0);
@@ -150,7 +157,7 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   EXPECT_EQ(sick.consecutive_failures, 3);
 
   // The next route trips the breaker and lands on the healthy replica.
-  auto ok = pool.submit(make_hidden(2, 7));
+  auto ok = service.submit(make_hidden(2, 7));
   EXPECT_EQ(ok.get().error, serving::ErrorCode::kOk);
   serving::EnginePool::BreakerStats bs = pool.breaker_stats();
   EXPECT_EQ(bs.quarantines, 1);
@@ -160,7 +167,7 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   // probe, it succeeds (the fault budget is spent), and the replica is
   // readmitted.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  auto probe = pool.submit(make_hidden(2, 8));
+  auto probe = service.submit(make_hidden(2, 8));
   EXPECT_EQ(probe.get().error, serving::ErrorCode::kOk);
   bs = pool.breaker_stats();
   EXPECT_EQ(bs.quarantines, 1);
@@ -168,10 +175,10 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   EXPECT_EQ(bs.readmissions, 1);
 
   // Readmitted replica serves again, and success cleared the streak.
-  EXPECT_EQ(pool.submit(make_hidden(2, 9)).get().error,
+  EXPECT_EQ(service.submit(make_hidden(2, 9)).get().error,
             serving::ErrorCode::kOk);
   EXPECT_EQ(pool.replica_health(0).consecutive_failures, 0);
-  pool.stop();
+  service.stop();
 }
 
 TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
@@ -187,18 +194,19 @@ TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
   serving::EnginePoolOptions opts = pool_options(/*replicas=*/2);
   opts.breaker.failure_threshold = 2;
   opts.breaker.quarantine_seconds = 0.05;
-  serving::EnginePool pool(tiny_model(), opts);
+  serving::Service service = make_service(opts);
+  const serving::EnginePool& pool = service.pool("tiny");
 
   for (int i = 0; i < 2; ++i) {
-    EXPECT_THROW(pool.submit(make_hidden(2, i)).get(),
+    EXPECT_THROW(service.submit(make_hidden(2, i)).get(),
                  serving::InternalError);
   }
-  EXPECT_EQ(pool.submit(make_hidden(2, 3)).get().error,
+  EXPECT_EQ(service.submit(make_hidden(2, 3)).get().error,
             serving::ErrorCode::kOk);  // routed around the quarantine
   ASSERT_EQ(pool.breaker_stats().quarantines, 1);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_THROW(pool.submit(make_hidden(2, 4)).get(),
+  EXPECT_THROW(service.submit(make_hidden(2, 4)).get(),
                serving::InternalError);  // the half-open probe fails
   const serving::EnginePool::BreakerStats bs = pool.breaker_stats();
   EXPECT_GE(bs.probes, 1);
@@ -206,9 +214,9 @@ TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
   EXPECT_GE(bs.quarantines, 2);  // re-quarantined
 
   // Healthy replica still serves while replica 0 sits in quarantine.
-  EXPECT_EQ(pool.submit(make_hidden(2, 5)).get().error,
+  EXPECT_EQ(service.submit(make_hidden(2, 5)).get().error,
             serving::ErrorCode::kOk);
-  pool.stop();
+  service.stop();
 }
 
 // ---- sticky-pin migration ---------------------------------------------------
@@ -242,12 +250,6 @@ TEST(Chaos, StickyPinMigratesOffUnavailableReplica) {
 }
 
 // ---- server connection defenses ---------------------------------------------
-
-serving::Service make_service(serving::EnginePoolOptions opts) {
-  serving::ModelRegistry registry;
-  registry.add("tiny", tiny_model(), opts);
-  return serving::Service(std::move(registry));
-}
 
 // A connection that never sends anything — idle-timeout prey.
 struct QuietConn {

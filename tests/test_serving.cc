@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "serving/batching.h"
 #include "serving/request_gen.h"
 #include "serving/scheduler.h"
 
@@ -75,7 +74,7 @@ TEST(Batching, GroupSizeZeroMeansPadToMax) {
   const auto groups = group_by_length(lens, 0);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].max_len, 30);
-  EXPECT_EQ(padded_tokens(groups, lens), 3 * 30);
+  EXPECT_EQ(padded_tokens(groups), 3 * 30);
 }
 
 TEST(Batching, GroupingReducesPaddedTokens) {
@@ -85,10 +84,10 @@ TEST(Batching, GroupingReducesPaddedTokens) {
   const auto grouped = group_by_length(lens, 8);
   long long valid = 0;
   for (int l : lens) valid += l;
-  EXPECT_LT(padded_tokens(grouped, lens), padded_tokens(one, lens));
+  EXPECT_LT(padded_tokens(grouped), padded_tokens(one));
   // But grouping never reaches the packed (zero-waste) level for non-uniform
   // lengths.
-  EXPECT_GT(padded_tokens(grouped, lens), valid);
+  EXPECT_GT(padded_tokens(grouped), valid);
 }
 
 TEST(Batching, SingleRequestGroup) {
@@ -96,14 +95,14 @@ TEST(Batching, SingleRequestGroup) {
   const auto groups = group_by_length(lens, 4);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].max_len, 17);
-  EXPECT_EQ(padded_tokens(groups, lens), 17);
+  EXPECT_EQ(padded_tokens(groups), 17);
 }
 
 TEST(Batching, EmptyLengthsYieldNoGroups) {
   const std::vector<int> lens;
   EXPECT_TRUE(group_by_length(lens, 4).empty());
   EXPECT_TRUE(group_by_length(lens, 0).empty());
-  EXPECT_EQ(padded_tokens(group_by_length(lens, 4), lens), 0);
+  EXPECT_EQ(padded_tokens(group_by_length(lens, 4)), 0);
 }
 
 TEST(Batching, NonPositiveGroupSizeMeansOneGroup) {
@@ -124,7 +123,7 @@ TEST(Batching, AllEqualLengthsGroupWithoutPadding) {
   for (int l : lens) valid += l;
   for (const auto& g : groups) EXPECT_EQ(g.max_len, 7);
   // Uniform lengths are the one case where grouping reaches zero waste.
-  EXPECT_EQ(padded_tokens(groups, lens), valid);
+  EXPECT_EQ(padded_tokens(groups), valid);
 }
 
 TEST(RequestGen, ArrivalsMeanInterArrivalMatchesRate) {
@@ -212,7 +211,7 @@ TEST(Scheduler, SortGroupPlanMatchesGrouping) {
   EXPECT_GE(plan.micro[0].max_len, plan.micro[1].max_len);
   EXPECT_GE(plan.micro[1].max_len, plan.micro[2].max_len);
   EXPECT_EQ(plan.padding_tokens(),
-            padded_tokens(group_by_length(lens, 2), lens) - 44);
+            padded_tokens(group_by_length(lens, 2)) - 44);
   // Every request appears exactly once across micro-batches.
   std::vector<int> all;
   for (const auto& mb : plan.micro) {

@@ -88,7 +88,7 @@ check_nothrow() {
 
 check_nothrow src/parallel/thread_pool.cc 'ThreadPool::worker_loop'
 check_nothrow src/parallel/thread_pool.cc 'ThreadPool::work_on_job'
-check_nothrow src/serving/async_engine.cc 'AsyncEngine::scheduler_loop'
+check_nothrow src/serving/pool.cc 'EnginePool::scheduler_loop'
 check_nothrow src/net/server.cc 'void loop()'
 check_nothrow src/net/server.cc 'void pump_loop()'
 check_nothrow src/net/server.cc 'void process_completions()'
