@@ -6,12 +6,15 @@
 // never materializes and any sequence length fits. The cost is parallelism:
 // only batch*heads CTAs exist, which underutilizes a wide machine when the
 // batch is small (the effect Fig. 13 measures; see also
-// costmodel/makespan.h for the A100-width projection).
+// costmodel/makespan.h for the A100-width projection). The online
+// softmax's exps run through the same vectorized exp_row primitive as the
+// fused kernels, so Fig. 13 compares scheduling, not exp implementations.
 #include <cassert>
 #include <cmath>
 
 #include "attention/attention.h"
 #include "common/numeric.h"
+#include "gemm/kernels/kernel.h"
 
 namespace bt::attn {
 
@@ -106,15 +109,13 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
           float tile_max = srow[0];
           for (int j = 1; j < kr; ++j) tile_max = std::max(tile_max, srow[j]);
           const float m_new = std::max(m_run[static_cast<std::size_t>(i)], tile_max);
-          const float correction =
-              m_run[static_cast<std::size_t>(i)] == -INFINITY
-                  ? 0.0f
-                  : std::exp(m_run[static_cast<std::size_t>(i)] - m_new);
-          float tile_sum = 0.0f;
-          for (int j = 0; j < kr; ++j) {
-            srow[j] = std::exp(srow[j] - m_new);
-            tile_sum += srow[j];
-          }
+          // exp_row maps -inf to exactly +0: the first tile's correction
+          // (m_run = -inf) and the masked scores vanish without a branch.
+          float correction = 0.0f;
+          gemm::kernels::exp_row(&m_run[static_cast<std::size_t>(i)], m_new,
+                                 1.0f, &correction, 1);
+          const float tile_sum =
+              gemm::kernels::exp_row(srow, m_new, 1.0f, srow, kr);
           l_run[static_cast<std::size_t>(i)] =
               l_run[static_cast<std::size_t>(i)] * correction + tile_sum;
           m_run[static_cast<std::size_t>(i)] = m_new;

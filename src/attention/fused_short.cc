@@ -17,7 +17,6 @@
 // head_size = 64 the arena holds ~137 KiB of the 164 KiB budget — past the
 // cutoff it no longer fits and the grouped-GEMM kernel takes over.
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "attention/attention.h"
@@ -156,18 +155,15 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     }
 
     // Softmax per query row: both reductions and the transform on data held
-    // locally (the register-file re-use of Algorithm III.1 lines 27-37).
+    // locally (the register-file re-use of Algorithm III.1 lines 27-37), the
+    // exps and their sum in one vectorized exp_row pass.
     for (int i = 0; i < rows; ++i) {
       const int row_len =
           args.causal ? std::min(len, q_begin + i + 1) : len;
       float* lrow = logits.data() + static_cast<std::int64_t>(i) * len;
       float mx = lrow[0];
       for (int j = 1; j < row_len; ++j) mx = std::max(mx, lrow[j]);
-      float sum = 0.0f;
-      for (int j = 0; j < row_len; ++j) {
-        lrow[j] = std::exp(lrow[j] - mx);
-        sum += lrow[j];
-      }
+      const float sum = gemm::kernels::exp_row(lrow, mx, 1.0f, lrow, row_len);
       const float inv = 1.0f / sum;
       for (int j = 0; j < row_len; ++j) lrow[j] *= inv;
     }

@@ -8,16 +8,21 @@
 //   * SoftmaxNormalizeATransform            — Algorithm III.2 (mainloop
 //     fusion: A-operand elements become exp(a - max)/sum on load in the
 //     second grouped GEMM)
+//
+// Every exp of the softmax fusions (and of softmax_full_reduce) runs as one
+// dispatched kernels::exp_row call per accumulator row, panel row or
+// partial-statistics row: the vectorized exp of gemm/kernels/kernel.h,
+// selected with the GEMM microkernel (BT_GEMM_KERNEL).
 #pragma once
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/half.h"
 #include "common/numeric.h"
+#include "gemm/kernels/kernel.h"
 #include "gemm/microkernel.h"
 
 namespace bt::gemm {
@@ -56,6 +61,7 @@ struct SoftmaxPartials {
 // still in the accumulator. Values are stored unchanged (the normalization
 // happens later, fused into the second GEMM's mainloop).
 struct SoftmaxPartialReduceEpilogue {
+  static constexpr bool kStoresUnchanged = true;
   std::span<SoftmaxPartials> partials;
 
   float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
@@ -67,12 +73,12 @@ struct SoftmaxPartialReduceEpilogue {
                int cols, const float* acc, int ld) const noexcept {
     const SoftmaxPartials& p = partials[static_cast<std::size_t>(problem)];
     const std::int64_t col_tile = col0 / TileShape::kN;
+    float exps[TileShape::kN];  // only the sum is kept
     for (int i = 0; i < rows; ++i) {
       const float* acc_row = acc + static_cast<std::int64_t>(i) * ld;
       float mx = acc_row[0];
       for (int j = 1; j < cols; ++j) mx = std::max(mx, acc_row[j]);
-      float sum = 0.0f;
-      for (int j = 0; j < cols; ++j) sum += std::exp(acc_row[j] - mx);
+      const float sum = kernels::exp_row(acc_row, mx, 1.0f, exps, cols);
       const std::int64_t idx = (row0 + i) * p.col_tiles + col_tile;
       p.partial_max[idx] = mx;
       p.partial_sum[idx] = sum;
@@ -88,13 +94,15 @@ struct SoftmaxRowStats {
 };
 
 // Mainloop fusion: A(row, k) -> exp(a - max[row]) * inv_sum[row], applied
-// when the second grouped GEMM packs its A operand (the score matrix).
+// when the second grouped GEMM packs its A operand (the score matrix): one
+// exp_row pass over each widened panel row.
 struct SoftmaxNormalizeATransform {
   std::span<const SoftmaxRowStats> stats;
 
-  float operator()(int problem, std::int64_t row, float v) const noexcept {
+  void operator()(int problem, std::int64_t row, float* values,
+                  int kc) const noexcept {
     const SoftmaxRowStats& s = stats[static_cast<std::size_t>(problem)];
-    return std::exp(v - s.row_max[row]) * s.row_inv_sum[row];
+    kernels::exp_row(values, s.row_max[row], s.row_inv_sum[row], values, kc);
   }
 };
 
@@ -104,6 +112,9 @@ struct SoftmaxNormalizeATransform {
 inline void softmax_full_reduce(const SoftmaxPartials& p,
                                 std::int64_t valid_cols_tiles, float* row_max,
                                 float* row_inv_sum) {
+  // rescale[t] = exp(pm[t] - gmax): the factor moving tile t's partial sum
+  // onto the row maximum.
+  std::vector<float> rescale(static_cast<std::size_t>(valid_cols_tiles));
   for (std::int64_t r = 0; r < p.rows; ++r) {
     const float* pm = p.partial_max + r * p.col_tiles;
     const float* ps = p.partial_sum + r * p.col_tiles;
@@ -111,9 +122,11 @@ inline void softmax_full_reduce(const SoftmaxPartials& p,
     for (std::int64_t t = 1; t < valid_cols_tiles; ++t) {
       gmax = std::max(gmax, pm[t]);
     }
+    kernels::exp_row(pm, gmax, 1.0f, rescale.data(),
+                     static_cast<int>(valid_cols_tiles));
     float gsum = 0.0f;
     for (std::int64_t t = 0; t < valid_cols_tiles; ++t) {
-      gsum += ps[t] * std::exp(pm[t] - gmax);
+      gsum += ps[t] * rescale[static_cast<std::size_t>(t)];
     }
     row_max[r] = gmax;
     row_inv_sum[r] = gsum > 0.0f ? 1.0f / gsum : 0.0f;

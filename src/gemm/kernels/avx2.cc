@@ -11,6 +11,11 @@
 // under FMA contraction — so forcing kernels for A/B runs never changes
 // results (see the bitwise cross-check in tests/test_gemm_kernels.cc).
 //
+// exp_row_avx2 evaluates gemm/kernels/exp_lane.h eight lanes per ymm with
+// the same explicit FMA chain and integer exponent scaling, so it matches
+// the scalar and vec variants bit for bit; the n % 8 tail runs the shared
+// scalar lane.
+//
 // CMake compiles this file with -mavx2 -mfma -mf16c when the compiler
 // supports them (independent of BT_NATIVE_ARCH, so portable builds still
 // carry the fast path behind runtime dispatch); otherwise the fallback at
@@ -18,10 +23,13 @@
 #include "gemm/kernels/kernel.h"
 
 #include <cstdint>
+#include <limits>
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include "gemm/kernels/exp_lane.h"
 
 namespace bt::gemm::kernels {
 
@@ -78,6 +86,51 @@ void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
   }
 }
 
+float exp_row_avx2(const float* src, float sub, float mul, float* dst,
+                   int n) {
+  using namespace detail;
+  const __m256 vsub = _mm256_set1_ps(sub);
+  const __m256 vmul = _mm256_set1_ps(mul);
+  const __m256 log2e = _mm256_set1_ps(kExpLog2e);
+  const __m256 round = _mm256_set1_ps(kExpRound);
+  const __m256 neg_ln2_hi = _mm256_set1_ps(-kExpLn2Hi);
+  const __m256 neg_ln2_lo = _mm256_set1_ps(-kExpLn2Lo);
+  const __m256 lo = _mm256_set1_ps(kExpLo);
+  const __m256 hi = _mm256_set1_ps(kExpHi);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  __m256 acc = _mm256_setzero_ps();
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 x = _mm256_sub_ps(_mm256_loadu_ps(src + j), vsub);
+    const __m256 t = _mm256_fmadd_ps(x, log2e, round);
+    const __m256 nf = _mm256_sub_ps(t, round);
+    __m256 r = _mm256_fmadd_ps(nf, neg_ln2_hi, x);
+    r = _mm256_fmadd_ps(nf, neg_ln2_lo, r);
+    __m256 p = _mm256_set1_ps(kExpC6);
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpC5));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpC4));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpC3));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpC2));
+    p = _mm256_fmadd_ps(p, r, one);
+    p = _mm256_fmadd_ps(p, r, one);
+    const __m256i k = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                       _mm256_castps_si256(round));
+    __m256 e = _mm256_castsi256_ps(
+        _mm256_add_epi32(_mm256_castps_si256(p), _mm256_slli_epi32(k, 23)));
+    e = _mm256_blendv_ps(e, _mm256_setzero_ps(),
+                         _mm256_cmp_ps(x, lo, _CMP_LT_OQ));
+    e = _mm256_blendv_ps(e, inf, _mm256_cmp_ps(x, hi, _CMP_GT_OQ));
+    e = _mm256_blendv_ps(e, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+    acc = _mm256_add_ps(acc, e);
+    _mm256_storeu_ps(dst + j, _mm256_mul_ps(e, vmul));
+  }
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, acc);
+  exp_row_tail(src, sub, mul, dst, j, n, lanes);
+  return sum_lanes(lanes);
+}
+
 namespace detail {
 bool avx2_kernel_compiled() noexcept { return true; }
 }  // namespace detail
@@ -91,6 +144,11 @@ namespace bt::gemm::kernels {
 void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
                         int kc, float* acc) {
   tile_multiply_vec(panel_a, mc, panel_b, kc, acc);
+}
+
+float exp_row_avx2(const float* src, float sub, float mul, float* dst,
+                   int n) {
+  return exp_row_vec(src, sub, mul, dst, n);
 }
 
 namespace detail {

@@ -1,7 +1,7 @@
 // Kernel selection: cpuid-style detection once at startup, overridable via
 // BT_GEMM_KERNEL=scalar|vec|avx2 for A/B benchmarking, and force() for
-// tests. The active kernel is stored as an atomic function pointer so the
-// hot-path dispatch is a single relaxed load.
+// tests. The active kernel's primitives are stored as atomic function
+// pointers so each hot-path dispatch is a single relaxed load.
 #include "gemm/kernels/kernel.h"
 
 #include <atomic>
@@ -50,10 +50,12 @@ Kind initial_kind() noexcept {
 struct State {
   std::atomic<Kind> kind;
   std::atomic<TileMultiplyFn> fn;
-  State() {
-    const Kind k = initial_kind();
+  std::atomic<ExpRowFn> exp_row;
+  State() { set(initial_kind()); }
+  void set(Kind k) noexcept {
     kind.store(k, std::memory_order_relaxed);
     fn.store(kernels::fn(k), std::memory_order_relaxed);
+    exp_row.store(kernels::exp_row_fn(k), std::memory_order_relaxed);
   }
 };
 
@@ -106,18 +108,30 @@ TileMultiplyFn fn(Kind kind) noexcept {
   return &tile_multiply_scalar;
 }
 
+ExpRowFn exp_row_fn(Kind kind) noexcept {
+  switch (kind) {
+    case Kind::kScalar: return &exp_row_scalar;
+    case Kind::kVec: return &exp_row_vec;
+    case Kind::kAvx2: return &exp_row_avx2;
+  }
+  return &exp_row_scalar;
+}
+
 Kind active() noexcept { return state().kind.load(std::memory_order_relaxed); }
 
 bool force(Kind kind) noexcept {
   if (!supported(kind)) return false;
-  state().kind.store(kind, std::memory_order_relaxed);
-  state().fn.store(fn(kind), std::memory_order_relaxed);
+  state().set(kind);
   return true;
 }
 
 void tile_multiply(const float* panel_a, int mc, const float* panel_b, int kc,
                    float* acc) {
   state().fn.load(std::memory_order_relaxed)(panel_a, mc, panel_b, kc, acc);
+}
+
+float exp_row(const float* src, float sub, float mul, float* dst, int n) {
+  return state().exp_row.load(std::memory_order_relaxed)(src, sub, mul, dst, n);
 }
 
 }  // namespace bt::gemm::kernels

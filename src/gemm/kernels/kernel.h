@@ -1,12 +1,19 @@
-// Runtime-dispatched GEMM microkernels.
+// Runtime-dispatched kernel primitives.
 //
-// The blocked mainloop (gemm/microkernel.h) funnels every FLOP of the
-// pipeline through one primitive:
+// Two primitives carry the hot loops of the pipeline:
 //
-//   acc[mc][kPanelN] += panel_a[mc][kPanelK] * panel_b[kc][kPanelN]
+//   * tile_multiply — the blocked mainloop (gemm/microkernel.h) funnels
+//     every GEMM FLOP through
 //
-// with both panels pre-packed, zero-padded FP32. This header exposes three
-// interchangeable implementations of that primitive:
+//       acc[mc][kPanelN] += panel_a[mc][kPanelK] * panel_b[kc][kPanelN]
+//
+//     with both panels pre-packed, zero-padded FP32;
+//   * exp_row — dst[j] = exp(src[j] - sub) * mul, returning the sum of the
+//     exps: every softmax of the attention kernels (the fused-long epilogue
+//     and mainloop fusions, the short kernel, flash, the padded baselines)
+//     runs through it.
+//
+// Each primitive has three interchangeable implementations:
 //
 //   * kScalar — the plain triple loop (the original seed kernel; baseline)
 //   * kVec    — 8-wide GCC generic-vector kernel, portable to any ISA the
@@ -16,10 +23,12 @@
 //
 // The active kernel is selected once at startup: BT_GEMM_KERNEL=scalar|vec|
 // avx2 overrides, otherwise cpuid-style detection picks the best supported
-// variant. All three accumulate each output element over p in ascending
-// order, so — provided FMA contraction is uniform across the build (see
-// BT_NATIVE_ARCH in CMakeLists.txt) — they are bitwise interchangeable and
-// A/B benchmarking never changes results.
+// variant, for both primitives at once. All three tile_multiply variants
+// accumulate each output element over p in ascending order, so — provided
+// FMA contraction is uniform across the build (see BT_NATIVE_ARCH in
+// CMakeLists.txt) — they are bitwise interchangeable and A/B benchmarking
+// never changes results. The exp_row variants are bitwise interchangeable
+// in every build: they use explicit FMAs only (see gemm/kernels/exp_lane.h).
 #pragma once
 
 #include <string_view>
@@ -37,6 +46,14 @@ inline constexpr int kNumKinds = 3;
 using TileMultiplyFn = void (*)(const float* panel_a, int mc,
                                 const float* panel_b, int kc, float* acc);
 
+// dst[j] = exp(src[j] - sub) * mul for j < n; returns sum_j exp(src[j] - sub)
+// (before the multiply), accumulated in 8 lane partials (element j into
+// lane j % 8) that are combined in one fixed order. dst may alias src.
+// exp is within 1 ulp of the correctly rounded result; arguments below
+// ln(FLT_MIN) (and -inf) give exactly +0, above ln(FLT_MAX) +inf, NaN NaN.
+using ExpRowFn = float (*)(const float* src, float sub, float mul, float* dst,
+                           int n);
+
 // The three implementations. tile_multiply_avx2 falls back to the vec
 // kernel when the toolchain could not build AVX2 code (it is then never
 // selected by dispatch — supported(kAvx2) reports false).
@@ -46,6 +63,10 @@ void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
                        int kc, float* acc);
 void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
                         int kc, float* acc);
+
+float exp_row_scalar(const float* src, float sub, float mul, float* dst, int n);
+float exp_row_vec(const float* src, float sub, float mul, float* dst, int n);
+float exp_row_avx2(const float* src, float sub, float mul, float* dst, int n);
 
 const char* name(Kind kind) noexcept;
 
@@ -65,12 +86,14 @@ Kind active() noexcept;
 // current kernel) when `kind` is unsupported on this build/host.
 bool force(Kind kind) noexcept;
 
-// Implementation function for a kind (for direct calls in tests).
+// Implementation functions for a kind (for direct calls in tests).
 TileMultiplyFn fn(Kind kind) noexcept;
+ExpRowFn exp_row_fn(Kind kind) noexcept;
 
-// Dispatches to the active kernel.
+// Dispatch to the active kernel.
 void tile_multiply(const float* panel_a, int mc, const float* panel_b, int kc,
                    float* acc);
+float exp_row(const float* src, float sub, float mul, float* dst, int n);
 
 namespace detail {
 // Whether avx2.cc was actually built with AVX2+FMA (CMake probes the flags;

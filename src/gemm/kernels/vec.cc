@@ -5,10 +5,19 @@
 // AVX ymm, SVE, ...). Each output element still accumulates over p in
 // ascending order — lanes are independent — so results match the scalar
 // kernel bit-for-bit under uniform FMA contraction.
+//
+// exp_row_vec evaluates gemm/kernels/exp_lane.h eight lanes at a time. Its
+// FMAs are spelled per lane (__builtin_fmaf) — generic vectors have no fma
+// operator — which the compiler turns into vector FMAs when the build
+// enables them and into fmaf calls otherwise; either way the result is the
+// scalar lane's, bit for bit.
 #include "gemm/kernels/kernel.h"
+#include "gemm/kernels/exp_lane.h"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace bt::gemm::kernels {
 
@@ -17,6 +26,7 @@ namespace bt::gemm::kernels {
 namespace {
 
 typedef float vf8 __attribute__((vector_size(32)));
+typedef std::uint32_t vu8 __attribute__((vector_size(32)));
 
 inline vf8 load8(const float* p) noexcept {
   vf8 v;
@@ -25,6 +35,39 @@ inline vf8 load8(const float* p) noexcept {
 }
 
 inline void store8(float* p, vf8 v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+
+inline vf8 fma8(vf8 a, vf8 b, vf8 c) noexcept {
+  vf8 r;
+  for (int l = 0; l < 8; ++l) r[l] = __builtin_fmaf(a[l], b[l], c[l]);
+  return r;
+}
+
+// mask ? a : b, lane-wise, for a comparison mask (all-ones or zero lanes).
+inline vf8 select8(vu8 mask, vf8 a, vf8 b) noexcept {
+  return (vf8)((mask & (vu8)a) | (~mask & (vu8)b));
+}
+
+inline vf8 exp8(vf8 x) noexcept {
+  using namespace detail;
+  const vf8 t = fma8(x, vf8{} + kExpLog2e, vf8{} + kExpRound);
+  const vf8 n = t - kExpRound;
+  vf8 r = fma8(n, vf8{} - kExpLn2Hi, x);
+  r = fma8(n, vf8{} - kExpLn2Lo, r);
+  vf8 p = vf8{} + kExpC6;
+  p = fma8(p, r, vf8{} + kExpC5);
+  p = fma8(p, r, vf8{} + kExpC4);
+  p = fma8(p, r, vf8{} + kExpC3);
+  p = fma8(p, r, vf8{} + kExpC2);
+  p = fma8(p, r, vf8{} + 1.0f);
+  p = fma8(p, r, vf8{} + 1.0f);
+  const vu8 k = (vu8)t - std::bit_cast<std::uint32_t>(kExpRound);
+  vf8 e = (vf8)((vu8)p + (k << 23));
+  e = select8((vu8)(x < kExpLo), vf8{}, e);
+  e = select8((vu8)(x > kExpHi),
+              vf8{} + std::numeric_limits<float>::infinity(), e);
+  e = select8((vu8)(x != x), x, e);
+  return e;
+}
 
 }  // namespace
 
@@ -65,11 +108,29 @@ void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
   }
 }
 
+float exp_row_vec(const float* src, float sub, float mul, float* dst, int n) {
+  vf8 acc{};
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const vf8 e = exp8(load8(src + j) - sub);
+    acc += e;
+    store8(dst + j, e * mul);
+  }
+  float lanes[8];
+  store8(lanes, acc);
+  detail::exp_row_tail(src, sub, mul, dst, j, n, lanes);
+  return detail::sum_lanes(lanes);
+}
+
 #else  // no vector extensions: alias the scalar kernel
 
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
                        int kc, float* acc) {
   tile_multiply_scalar(panel_a, mc, panel_b, kc, acc);
+}
+
+float exp_row_vec(const float* src, float sub, float mul, float* dst, int n) {
+  return exp_row_scalar(src, sub, mul, dst, n);
 }
 
 #endif

@@ -5,7 +5,8 @@
 //     widening FP16 -> FP32 at pack time (tensor-core semantics),
 //   * the A-panel pack point is the *mainloop fusion* hook — ByteTransformer
 //     fuses the softmax normalization exp(x-max)/sum into the second grouped
-//     GEMM's operand load (paper Algorithm III.2),
+//     GEMM's operand load (paper Algorithm III.2); here the hook sees each
+//     widened FP32 panel row whole, so it can run one vectorized pass,
 //   * the accumulator tile is the *epilogue fusion* hook — bias+GELU and the
 //     softmax partial reduction run on the FP32 accumulator before it is
 //     stored (paper Sec. III-C2 / Fig. 8).
@@ -21,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #include "common/half.h"
 #include "common/numeric.h"
@@ -41,18 +41,28 @@ struct TileShape {
 };
 
 // Default hooks: identity mainloop transform / identity epilogue.
+//
+// A mainloop transform is called once per packed A-panel row, after the row
+// segment values[0, kc) of op(A) row `row` has been widened to FP32, and
+// rewrites it in place.
 struct IdentityATransform {
-  float operator()(int /*problem*/, std::int64_t /*row*/, float v) const noexcept {
-    return v;
-  }
+  void operator()(int /*problem*/, std::int64_t /*row*/, float* /*values*/,
+                  int /*kc*/) const noexcept {}
 };
 
+// Epilogues that store the accumulator unchanged declare kStoresUnchanged;
+// the store loop then narrows whole rows (F16C-vectorized for FP16) instead
+// of calling the per-element hook.
 struct IdentityEpilogue {
+  static constexpr bool kStoresUnchanged = true;
   float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
                    float v) const noexcept {
     return v;
   }
 };
+
+template <typename E>
+concept StoresUnchanged = E::kStoresUnchanged;
 
 // Epilogues may additionally expose a whole-tile hook, called on the scaled
 // FP32 accumulator before values are transformed/stored. Used by the fused
@@ -64,8 +74,8 @@ concept HasTileHook = requires(E e, int p, std::int64_t r0, std::int64_t c0,
 };
 
 // Packs an mc x kc block of op(A) into a zero-padded kM x kK FP32 panel,
-// applying the mainloop transform to each loaded element. The identity
-// transform takes the whole-row widening path (F16C-vectorized for FP16).
+// applying the mainloop transform to each widened row. No-transpose rows
+// widen whole-row (F16C-vectorized for FP16).
 template <typename TA, typename ATransform>
 inline void pack_a_panel(Trans ta, const TA* a, std::int64_t lda,
                          std::int64_t row0, std::int64_t k0, int mc, int kc,
@@ -74,18 +84,14 @@ inline void pack_a_panel(Trans ta, const TA* a, std::int64_t lda,
     float* dst = panel + static_cast<std::int64_t>(i) * TileShape::kK;
     const std::int64_t row = row0 + i;
     if (ta == Trans::N) {
-      const TA* src = a + row * lda + k0;
-      if constexpr (std::is_same_v<ATransform, IdentityATransform>) {
-        convert_row_f32(src, dst, kc);
-      } else {
-        for (int p = 0; p < kc; ++p) dst[p] = at(problem, row, load_f32(src[p]));
-      }
+      convert_row_f32(a + row * lda + k0, dst, kc);
     } else {
       const TA* src = a + k0 * lda + row;
       for (int p = 0; p < kc; ++p) {
-        dst[p] = at(problem, row, load_f32(src[static_cast<std::int64_t>(p) * lda]));
+        dst[p] = load_f32(src[static_cast<std::int64_t>(p) * lda]);
       }
     }
+    at(problem, row, dst, kc);
     if (kc < TileShape::kK) {
       std::memset(dst + kc, 0, sizeof(float) * static_cast<std::size_t>(TileShape::kK - kc));
     }
@@ -94,24 +100,32 @@ inline void pack_a_panel(Trans ta, const TA* a, std::int64_t lda,
 
 // Packs a kc x nc block of op(B) into a zero-padded kK x kN FP32 panel.
 // Zero padding lets the inner product loop run at the full constant width.
-// No-transpose rows widen whole-row (F16C-vectorized for FP16).
+// Source rows widen whole-row (F16C-vectorized for FP16): no-transpose rows
+// straight into panel rows; transposed ones (each the kc-long source row
+// of one panel column, e.g. K rows for Q K^T) into a buffer that is then
+// scattered down the column.
 template <typename TB>
 inline void pack_b_panel(Trans tb, const TB* b, std::int64_t ldb,
                          std::int64_t k0, std::int64_t col0, int kc, int nc,
                          float* panel) {
-  for (int p = 0; p < kc; ++p) {
-    float* dst = panel + static_cast<std::int64_t>(p) * TileShape::kN;
-    if (tb == Trans::N) {
-      const TB* src = b + (k0 + p) * ldb + col0;
-      convert_row_f32(src, dst, nc);
-    } else {
-      const TB* src = b + col0 * ldb + (k0 + p);
-      for (int j = 0; j < nc; ++j) {
-        dst[j] = load_f32(src[static_cast<std::int64_t>(j) * ldb]);
+  if (tb == Trans::N) {
+    for (int p = 0; p < kc; ++p) {
+      convert_row_f32(b + (k0 + p) * ldb + col0,
+                      panel + static_cast<std::int64_t>(p) * TileShape::kN, nc);
+    }
+  } else {
+    float column[TileShape::kK];
+    for (int j = 0; j < nc; ++j) {
+      convert_row_f32(b + (col0 + j) * ldb + k0, column, kc);
+      for (int p = 0; p < kc; ++p) {
+        panel[static_cast<std::int64_t>(p) * TileShape::kN + j] = column[p];
       }
     }
-    if (nc < TileShape::kN) {
-      std::memset(dst + nc, 0, sizeof(float) * static_cast<std::size_t>(TileShape::kN - nc));
+  }
+  if (nc < TileShape::kN) {
+    for (int p = 0; p < kc; ++p) {
+      std::memset(panel + static_cast<std::int64_t>(p) * TileShape::kN + nc, 0,
+                  sizeof(float) * static_cast<std::size_t>(TileShape::kN - nc));
     }
   }
 }
@@ -157,6 +171,12 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
   for (int i = 0; i < mc; ++i) {
     const float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
     TC* c_row = c + (row0 + i) * ldc + col0;
+    if constexpr (StoresUnchanged<Epilogue>) {
+      if (beta == 0.0f) {
+        convert_row_from_f32(acc_row, c_row, nc);
+        continue;
+      }
+    }
     if (beta == 0.0f) {
       for (int j = 0; j < nc; ++j) {
         store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]));

@@ -3,31 +3,52 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gemm/kernels/kernel.h"
+
 namespace bt::kernels {
 
 namespace {
 
 constexpr float kMask = -1e4f;  // framework-style additive attention mask
 
-// One padded score row: softmax over [0, max_seq) with additive mask on
-// columns >= len. Register-style: a single pass loads the row once into a
-// local accumulation (two reductions + transform, as in Algorithm III.1).
+// Rows stream through a fixed stack buffer, so any max_seq works without
+// heap traffic.
+constexpr int kChunk = 256;
+
+// buf[0, n) = row[j0, j0 + n) widened, plus the additive mask on columns
+// >= len.
 template <typename T>
-void softmax_row_full(T* row, int max_seq, int len) {
+void load_masked(const T* row, int j0, int n, int len, float* buf) {
+  convert_row_f32(row + j0, buf, n);
+  for (int j = std::max(len - j0, 0); j < n; ++j) buf[j] += kMask;
+}
+
+// Softmax of row[0, cols) in place, masking columns >= len: a max pass, a
+// pass summing the exps, and a pass storing exp * (1 / sum) — the exps of
+// both run through the same vectorized exp_row primitive as the fused
+// kernels, so the padded baselines and the fused paths differ only in
+// traversal and fusion.
+template <typename T>
+void softmax_row(T* row, int cols, int len) {
+  float buf[kChunk];
   float mx = -INFINITY;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    mx = std::max(mx, v);
+  for (int j0 = 0; j0 < cols; j0 += kChunk) {
+    const int n = std::min(kChunk, cols - j0);
+    load_masked(row, j0, n, len, buf);
+    for (int j = 0; j < n; ++j) mx = std::max(mx, buf[j]);
   }
   float sum = 0.0f;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    sum += std::exp(v - mx);
+  for (int j0 = 0; j0 < cols; j0 += kChunk) {
+    const int n = std::min(kChunk, cols - j0);
+    load_masked(row, j0, n, len, buf);
+    sum += gemm::kernels::exp_row(buf, mx, 1.0f, buf, n);
   }
   const float inv = 1.0f / sum;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    store_f32(row[j], std::exp(v - mx) * inv);
+  for (int j0 = 0; j0 < cols; j0 += kChunk) {
+    const int n = std::min(kChunk, cols - j0);
+    load_masked(row, j0, n, len, buf);
+    gemm::kernels::exp_row(buf, mx, inv, buf, n);
+    convert_row_from_f32(buf, row + j0, n);
   }
 }
 
@@ -35,14 +56,7 @@ void softmax_row_full(T* row, int max_seq, int len) {
 // the following padded batched GEMM reads exact zeros.
 template <typename T>
 void softmax_row_zeropad(T* row, int max_seq, int len) {
-  float mx = -INFINITY;
-  for (int j = 0; j < len; ++j) mx = std::max(mx, load_f32(row[j]));
-  float sum = 0.0f;
-  for (int j = 0; j < len; ++j) sum += std::exp(load_f32(row[j]) - mx);
-  const float inv = 1.0f / sum;
-  for (int j = 0; j < len; ++j) {
-    store_f32(row[j], std::exp(load_f32(row[j]) - mx) * inv);
-  }
+  softmax_row(row, len, len);
   for (int j = len; j < max_seq; ++j) store_f32(row[j], 0.0f);
 }
 
@@ -53,8 +67,8 @@ void softmax_full_impl(par::Device& dev, T* scores, int batch, int heads,
       static_cast<std::int64_t>(batch) * heads * max_seq;
   dev.parallel_for(0, rows, /*grain=*/8, [&](std::int64_t r) {
     const int b = static_cast<int>(r / (static_cast<std::int64_t>(heads) * max_seq));
-    const int len = seq_lens[static_cast<std::size_t>(b)];
-    softmax_row_full(scores + r * max_seq, max_seq, len);
+    // The whole padded row, as a padding-oblivious framework computes it.
+    softmax_row(scores + r * max_seq, max_seq, seq_lens[static_cast<std::size_t>(b)]);
   });
 }
 

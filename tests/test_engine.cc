@@ -145,6 +145,43 @@ TEST(Engine, PackedBitMatchesDirectForward) {
   }
 }
 
+// The cases above run max_len 16, which pins only the short fused kernel.
+// Lengths straddling the 384 cutoff (max_len 1024) send the packed round to
+// the grouped-GEMM long kernel — and, causal, to flash — whose vectorized
+// softmax must stay bitwise identical between the engine and a direct
+// forward too.
+void expect_long_packed_bit_matches(const core::OptFlags& flags) {
+  auto model = shared_model();
+  const std::vector<int> lens{1, 100, 385, 700, 1024};
+  EngineOptions opts = options_for(BatchPolicy::kPacked, flags);
+  opts.max_batch_requests = static_cast<int>(lens.size());
+  Engine engine(model, opts);
+  const std::int64_t h = engine.hidden();
+
+  auto reqs = make_requests(lens, static_cast<int>(h));
+  const auto expect_reqs = make_requests(lens, static_cast<int>(h));
+  const std::vector<int> order{0, 1, 2, 3, 4};
+  const int max_len = 1024;
+  const auto want = direct_forward(*model, expect_reqs, order, max_len, flags);
+
+  for (auto& r : reqs) engine.submit(std::move(r));
+  const auto responses = engine.drain();
+  ASSERT_EQ(responses.size(), lens.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    expect_bits_equal(responses[i], want, static_cast<int>(i), max_len, h);
+  }
+}
+
+TEST(Engine, PackedLongSequencesBitMatchDirectForward) {
+  expect_long_packed_bit_matches(core::OptFlags::byte_transformer());
+}
+
+TEST(Engine, PackedLongCausalSequencesBitMatchDirectForward) {
+  core::OptFlags flags = core::OptFlags::byte_transformer();
+  flags.causal = true;
+  expect_long_packed_bit_matches(flags);
+}
+
 TEST(Engine, SortGroupBitMatchesDirectForward) {
   auto model = shared_model();
   const auto flags = core::OptFlags::layernorm_fused();

@@ -1,13 +1,18 @@
 // Fused MHA specifics: tile boundaries, the short/long dispatch cutoff,
-// scheduler prefetch invariance, and scratch-capacity behaviour.
+// scheduler prefetch invariance, scratch-capacity behaviour, and the long
+// and causal (flash) kernels against the FP64 reference at the offline
+// long-sequence benchmark's shape.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "attention/attention.h"
 #include "common/rng.h"
+#include "kernels/transpose.h"
 #include "parallel/device.h"
 #include "tensor/tensor.h"
+#include "test_utils.h"
 
 namespace bt::attn {
 namespace {
@@ -39,7 +44,53 @@ struct MhaSetup {
   PackedMhaArgs args(Tensor<fp16_t>& ctx) {
     return {qkv.data(), bias.data(), ctx.data(), &off, heads, head_size};
   }
+
+  // Max abs diff of a packed context [valid, hidden] against the FP64
+  // reference over the same (bias-applied, FP16-rounded) Q/K/V; infinite
+  // when any output is not finite.
+  double diff_vs_reference(const Tensor<fp16_t>& ctx, bool causal) {
+    const std::int64_t per_head = static_cast<std::int64_t>(off.batch) *
+                                  heads * off.max_seq * head_size;
+    auto q = Tensor<fp16_t>::zeros({per_head});
+    auto k = Tensor<fp16_t>::zeros({per_head});
+    auto v = Tensor<fp16_t>::zeros({per_head});
+    kernels::split_qkv_add_bias_rebuild_padding(dev(), qkv.data(), bias.data(),
+                                                q.data(), k.data(), v.data(),
+                                                off, heads, head_size);
+    std::vector<double> ref(static_cast<std::size_t>(per_head));
+    const auto qd = test::to_f64(q);
+    const auto kd = test::to_f64(k);
+    const auto vd = test::to_f64(v);
+    mha_reference(qd.data(), kd.data(), vd.data(), ref.data(), off.batch,
+                  heads, off.max_seq, head_size, off.seq_lens, causal);
+    double worst = 0;
+    for (std::int64_t t = 0; t < off.valid_count; ++t) {
+      const std::int64_t padded = off.packed_to_padded[static_cast<std::size_t>(t)];
+      const std::int64_t b = padded / off.max_seq;
+      const std::int64_t s = padded % off.max_seq;
+      for (int h = 0; h < heads; ++h) {
+        for (int d = 0; d < head_size; ++d) {
+          const std::int64_t ref_idx =
+              ((b * heads + h) * off.max_seq + s) * head_size + d;
+          const double got = load_f32(ctx(t, h * head_size + d));
+          if (!std::isfinite(got)) return INFINITY;  // std::max drops NaN
+          worst = std::max(worst,
+                           std::abs(got - ref[static_cast<std::size_t>(ref_idx)]));
+        }
+      }
+    }
+    return worst;
+  }
 };
+
+// The FP64-reference tolerance of test_attention.cc: FP16 storage plus FP32
+// accumulation headroom.
+constexpr double kRefTol = 4e-2;
+
+// The offline long-sequence benchmark's shape: 8 sequences of alpha = 0.6
+// lengths (uniform over [205, 1024], here stratified) at max_seq 1024, 4
+// heads of 64.
+const std::vector<int> kOfflineLongLens{1024, 205, 819, 410, 922, 512, 307, 717};
 
 TEST(FusedShort, SplitSeqLenBoundaries) {
   // Lengths around the kSplitSeqLen = 48 tile boundary must all agree with
@@ -100,6 +151,27 @@ TEST(FusedLong, CrossTileSoftmaxCorrectness) {
   mha_fused_long(dev(), args_a, ws);
   mha_fused_short(dev(), args_b, ws);
   EXPECT_LT(max_abs_diff(a, b), 3e-2);
+}
+
+TEST(FusedLong, MatchesFp64ReferenceAtOfflineLongShape) {
+  MhaSetup s(kOfflineLongLens, 1024, 4, 64);
+  core::Workspace ws;
+  auto ctx = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+  auto args = s.args(ctx);
+  mha_fused_long(dev(), args, ws);
+  EXPECT_LT(s.diff_vs_reference(ctx, /*causal=*/false), kRefTol);
+}
+
+TEST(FlashLike, CausalMatchesFp64ReferenceAtOfflineLongShape) {
+  // Causal fused-long delegates to flash, whose -inf key mask must come out
+  // of the vectorized exp as exact zeros.
+  MhaSetup s(kOfflineLongLens, 1024, 4, 64);
+  core::Workspace ws;
+  auto ctx = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+  auto args = s.args(ctx);
+  args.causal = true;
+  mha_fused_long(dev(), args, ws);
+  EXPECT_LT(s.diff_vs_reference(ctx, /*causal=*/true), kRefTol);
 }
 
 TEST(FusedDispatch, UsesShortKernelUpToCutoff) {

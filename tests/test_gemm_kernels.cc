@@ -5,10 +5,16 @@
 //     accumulate each output element over p ascending, so under uniform FMA
 //     contraction they are interchangeable to the last bit),
 //   * PackedB panel layout vs pack_b_panel,
+//   * the exp_row primitive: forced variants bitwise identical (any build),
+//     within 1 ulp of the correctly rounded exp, exact special values,
 //   * dispatch / BT_GEMM_KERNEL parsing and force() fallback behavior.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -178,6 +184,134 @@ TEST(KernelBitwise, ForcedVariantsAgreeBitwise) {
 }
 #endif  // __FMA__
 
+// exp_row uses explicit FMAs and integer exponent scaling only, so unlike
+// tile_multiply its variants agree bitwise in portable builds too: no
+// __FMA__ gate. Lengths 1..200 cover every tail (n % 8) behind 0..24 full
+// vectors; the rows mix softmax-range scores with the -inf mask value.
+TEST(ExpRow, ForcedVariantsAgreeBitwise) {
+  KernelGuard guard;
+  Rng rng(29);
+  std::vector<float> src(200);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = i % 17 == 5 ? -std::numeric_limits<float>::infinity()
+                         : 12.0f * rng.normal();
+  }
+  const std::pair<float, float> sub_mul[] = {
+      {0.0f, 1.0f}, {3.25f, 1.0f}, {-1.5f, 0.125f}, {7.0f, 1.0f / 3.0f}};
+  for (auto [sub, mul] : sub_mul) {
+    for (int n = 1; n <= 200; ++n) {
+      ASSERT_TRUE(kernels::force(kernels::Kind::kScalar));
+      std::vector<float> want(static_cast<std::size_t>(n));
+      const float want_sum = kernels::exp_row(src.data(), sub, mul, want.data(), n);
+      for (auto kind : supported_kinds()) {
+        ASSERT_TRUE(kernels::force(kind));
+        std::vector<float> got(static_cast<std::size_t>(n));
+        const float got_sum = kernels::exp_row(src.data(), sub, mul, got.data(), n);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got_sum),
+                  std::bit_cast<std::uint32_t>(want_sum))
+            << kernels::name(kind) << " n=" << n << " sub=" << sub;
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << kernels::name(kind) << " n=" << n << " sub=" << sub;
+        // In place (dst == src) is the fused-kernel calling convention.
+        std::vector<float> in_place(src.begin(), src.begin() + n);
+        kernels::exp_row(in_place.data(), sub, mul, in_place.data(), n);
+        ASSERT_EQ(std::memcmp(in_place.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << kernels::name(kind) << " in place, n=" << n;
+      }
+    }
+  }
+}
+
+TEST(ExpRow, WithinOneUlpOfCorrectlyRoundedExp) {
+  KernelGuard guard;
+  Rng rng(31);
+  const int n = 1 << 20;
+  std::vector<float> src(static_cast<std::size_t>(n));
+  for (float& x : src) x = rng.uniform(-87.0f, 0.0f);
+  src[0] = -87.0f;
+  src[1] = 0.0f;
+  std::vector<float> got(src.size());
+  for (auto kind : supported_kinds()) {
+    ASSERT_TRUE(kernels::force(kind));
+    kernels::exp_row(src.data(), 0.0f, 1.0f, got.data(), n);
+    std::int64_t worst = 0;
+    float worst_x = 0.0f;
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const float want = static_cast<float>(std::exp(static_cast<double>(src[i])));
+      const std::int64_t ulps =
+          std::abs(static_cast<std::int64_t>(std::bit_cast<std::uint32_t>(got[i])) -
+                   static_cast<std::int64_t>(std::bit_cast<std::uint32_t>(want)));
+      if (ulps > worst) {
+        worst = ulps;
+        worst_x = src[i];
+      }
+    }
+    EXPECT_LE(worst, 1) << kernels::name(kind) << " worst at x=" << worst_x;
+  }
+}
+
+TEST(ExpRow, SpecialValuesAreExact) {
+  KernelGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // {input, expected exp}; every expected value is exact. Repeated so each
+  // lands in both a full vector and the scalar tail.
+  const std::pair<float, float> cases[] = {
+      {0.0f, 1.0f},
+      {-0.0f, 1.0f},
+      {-inf, 0.0f},
+      {-87.5f, 0.0f},  // below ln(FLT_MIN): the true exp is subnormal
+      {-1000.0f, 0.0f},
+      {-std::numeric_limits<float>::max(), 0.0f},
+      {89.0f, inf},
+      {inf, inf},
+  };
+  std::vector<float> src;
+  std::vector<float> want;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (auto [x, e] : cases) {
+      src.push_back(x);
+      want.push_back(e);
+    }
+  }
+  for (auto kind : supported_kinds()) {
+    ASSERT_TRUE(kernels::force(kind));
+    std::vector<float> got(src.size());
+    const float sum = kernels::exp_row(src.data(), 0.0f, 1.0f, got.data(),
+                                       static_cast<int>(src.size()));
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << kernels::name(kind) << " exp(" << src[i] << ") = " << got[i];
+    }
+    EXPECT_EQ(sum, inf) << kernels::name(kind);
+
+    // The flash-attention mask: -inf scores minus a finite running max
+    // contribute exactly +0 to the row and its sum.
+    const float masked[] = {-inf, 2.0f, -inf, -inf, 2.0f, -inf, -inf, -inf,
+                            -inf, 2.0f};
+    float p[10];
+    EXPECT_EQ(kernels::exp_row(masked, 2.0f, 0.5f, p, 10), 3.0f);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(p[i]),
+                std::bit_cast<std::uint32_t>(masked[i] == 2.0f ? 0.5f : 0.0f))
+          << kernels::name(kind) << " at " << i;
+    }
+
+    for (int n : {1, 9}) {
+      std::vector<float> nan_row(static_cast<std::size_t>(n), nan);
+      std::vector<float> out(nan_row.size());
+      EXPECT_TRUE(std::isnan(kernels::exp_row(nan_row.data(), 0.0f, 1.0f,
+                                              out.data(), n)));
+      for (float v : out) EXPECT_TRUE(std::isnan(v)) << kernels::name(kind);
+    }
+  }
+}
+
 TEST(KernelDispatch, ParseAcceptsExactlyTheThreeNames) {
   kernels::Kind k;
   EXPECT_TRUE(kernels::parse("scalar", &k));
@@ -195,6 +329,21 @@ TEST(KernelDispatch, ScalarAndVecAlwaysSupported) {
   EXPECT_TRUE(kernels::supported(kernels::Kind::kScalar));
   EXPECT_TRUE(kernels::supported(kernels::Kind::kVec));
 }
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+// CMake compiles avx2.cc with its own -mavx2 -mfma -mf16c in every build,
+// BT_NATIVE_ARCH=OFF included, so on x86 the AVX2 kernels always exist and
+// detection (absent a BT_GEMM_KERNEL override) selects them on AVX2+FMA
+// hosts.
+TEST(KernelDispatch, Avx2KernelsCompiledWithoutNativeArch) {
+  EXPECT_TRUE(kernels::detail::avx2_kernel_compiled());
+  if (std::getenv("BT_GEMM_KERNEL") == nullptr &&
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    EXPECT_EQ(kernels::active(), kernels::Kind::kAvx2);
+  }
+}
+#endif
 
 TEST(KernelDispatch, ForceRoundTripsAndRejectsUnsupported) {
   KernelGuard guard;

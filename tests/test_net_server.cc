@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "core/model.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -282,21 +283,36 @@ TEST(NetServer, BackpressureSurfacesAsFrames) {
 }
 
 TEST(NetServer, DeadlineTravelsTheWire) {
-  // Park the single replica on one long request, then send 1 ms wire
-  // deadlines while it is mid-compute: no scheduling round can start
-  // inside their window (EDF would otherwise serve them first), so they
-  // must come back as kDeadlineExceeded frames — produced by the same
-  // shedding machinery the in-process tier uses.
+  // Park the single replica on one request whose compute the
+  // serving.compute.delay fault point holds for 300 ms, then send 1 ms wire
+  // deadlines: no scheduling round can start inside their window (EDF would
+  // otherwise serve them first), so they must come back as
+  // kDeadlineExceeded frames — produced by the same shedding machinery the
+  // in-process tier uses. The held round is an explicit signal (the fault
+  // point fires only once the blocker is dispatched and computing), not a
+  // guess at how long the forward takes.
+  fault::Injector inj(1);
+  fault::PointConfig hold;
+  hold.fire_at = {0};  // the first computing round: the blocker's
+  hold.max_fires = 1;
+  hold.param = 300'000;  // us
+  inj.arm("serving.compute.delay", hold);
+  fault::ScopedInjector scope(inj);
+
   auto service = make_service(pool_options(/*max_batch_requests=*/1));
   Server server(service);
   server.start();
   Client client(server.port());
 
   WireRequest big;
-  big.hidden = make_hidden(2048, 0);
+  big.hidden = make_hidden(64, 0);
   auto blocker = client.submit(std::move(big));
-  // Past the 1 ms batching window: the blocker's round is now computing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (inj.stats("serving.compute.delay").fires == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the blocker's round never started computing";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::vector<std::future<WireResponse>> tight;
   for (int i = 0; i < 4; ++i) {
@@ -314,7 +330,7 @@ TEST(NetServer, DeadlineTravelsTheWire) {
       EXPECT_FALSE(r.message.empty());
     }
   }
-  EXPECT_GE(shed, 1);
+  EXPECT_EQ(shed, 4);
 
   client.close();
   server.stop();
