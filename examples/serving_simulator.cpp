@@ -690,7 +690,7 @@ int main(int argc, char** argv) {
     if (args.chaos > 0) {
       std::printf("  chaos: %lld fires across %s fault points; clients "
                   "retried %lld, reconnected %lld; %lld request(s) failed\n",
-                  injector.total_fires(),
+                  static_cast<long long>(injector.total_fires()),
                   args.wire ? "socket+compute" : "compute",
                   wire_resilience.retries, wire_resilience.reconnects,
                   replay.failures());

@@ -24,9 +24,11 @@
 //                                                             online softmax
 //   mha_et_like           padded per-head   full S^2, FP32    none
 //   mha_fused             packed QKV        none              dispatches short/
-//                                                             long at 384
+//                                                             long at 384, per
+//                                                             sequence
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -63,11 +65,13 @@ struct PaddedMhaArgs {
 
 // Packed operands: the fused QKV projection output [valid, 3*hidden] with
 // its bias unapplied — bias addition is fused into the kernels' loads, as in
-// Algorithm III.1. Output is packed token rows [valid, hidden].
+// Algorithm III.1. Output is packed token rows [valid, hidden]. When
+// resuming from cached prefixes (q_start below), both hold only the
+// computed rows.
 struct PackedMhaArgs {
-  const fp16_t* qkv = nullptr;       // [valid, 3*hidden]
+  const fp16_t* qkv = nullptr;       // [valid or computed rows, 3*hidden]
   const fp16_t* qkv_bias = nullptr;  // [3*hidden]
-  fp16_t* ctx = nullptr;             // [valid, hidden]
+  fp16_t* ctx = nullptr;             // [valid or computed rows, hidden]
   const core::SeqOffsets* offsets = nullptr;
   int heads = 0;
   int head_size = 0;
@@ -77,16 +81,62 @@ struct PackedMhaArgs {
   // would need per-tile masking — the decoder extension the paper lists as
   // future work).
   bool causal = false;
-  // Prefix-resume compute skip (cache/prefix_cache.h): query rows below
-  // q_start already have cached context and are not recomputed. The kernels
-  // skip exactly the query tiles/blocks that end at or before q_start —
-  // tile geometry is unchanged (tiling still starts from row 0), so every
-  // computed row is bitwise identical to the same row in a q_start=0 run.
-  // Keys are NOT restricted: rows >= q_start still attend over the full
-  // (causally masked) key range, reading prefix K/V from the qkv buffer.
-  // Only meaningful with causal masking — a bidirectional row's context
-  // could never be skipped consistently. 0 computes everything.
-  int q_start = 0;
+  // Prefix resume (cache/prefix_cache.h), per sequence: the first
+  // q_start[b] rows of sequence b are cached. Their raw QKV rows are read
+  // in place from prefix_qkv[b] ([q_start[b], 3*hidden]) and their context
+  // is not stored; rows i >= q_start[b] are the computed rows, at packed
+  // row computed_offset[b] + i - q_start[b] of both qkv and ctx. The
+  // kernels skip exactly the query tiles/blocks that end at or before
+  // q_start[b] — tile geometry is unchanged (tiling still starts from row 0
+  // of each sequence), so every computed row is bitwise identical to the
+  // same row in a q_start = 0 run. Keys are NOT restricted: computed rows
+  // attend over the full (causally masked) key range, prefix keys
+  // included. Only meaningful with causal masking — a bidirectional row's
+  // context could never be skipped consistently. Empty (the default)
+  // computes every row, and row i of sequence b is packed row
+  // batch_offset[b] + i.
+  std::span<const int> q_start = {};                   // [batch] or empty
+  std::span<const std::int64_t> computed_offset = {};  // [batch] with q_start
+  std::span<const fp16_t* const> prefix_qkv = {};      // [batch] with q_start
+  // Sequences this call computes, as indices into `offsets`; empty = all.
+  // mha_fused uses it to send each sequence to its own kernel.
+  std::span<const int> seqs = {};
+
+  int num_seqs() const {
+    return seqs.empty() ? offsets->batch : static_cast<int>(seqs.size());
+  }
+  int seq(int i) const {
+    return seqs.empty() ? i : seqs[static_cast<std::size_t>(i)];
+  }
+  int seq_len(int b) const {
+    return offsets->seq_lens[static_cast<std::size_t>(b)];
+  }
+  // Longest sequence this call computes.
+  int max_len() const {
+    int m = 0;
+    for (int i = 0; i < num_seqs(); ++i) m = std::max(m, seq_len(seq(i)));
+    return m;
+  }
+  int q_start_of(int b) const {
+    return q_start.empty() ? 0 : q_start[static_cast<std::size_t>(b)];
+  }
+  // Packed qkv/ctx row of row i >= q_start_of(b) of sequence b.
+  std::int64_t row(int b, int i) const {
+    const std::size_t sb = static_cast<std::size_t>(b);
+    return q_start.empty() ? offsets->batch_offset[sb] + i
+                           : computed_offset[sb] + (i - q_start[sb]);
+  }
+  // Raw QKV row i of sequence b, cached or computed.
+  const fp16_t* qkv_row(int b, int i) const {
+    const std::int64_t width = 3 * static_cast<std::int64_t>(heads) * head_size;
+    return i < q_start_of(b)
+               ? prefix_qkv[static_cast<std::size_t>(b)] + i * width
+               : qkv + row(b, i) * width;
+  }
+  // Context row of row i >= q_start_of(b) of sequence b.
+  fp16_t* ctx_row(int b, int i) const {
+    return ctx + row(b, i) * heads * head_size;
+  }
 };
 
 // --- padded-variant baselines -------------------------------------------
@@ -127,8 +177,11 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
 // capacity argument that fixes the paper's 384 cutoff on the A100).
 std::size_t fused_short_scratch_bytes(int max_seq, int head_size);
 
-// Dispatcher: short kernel for max_seq <= kShortSeqCutoff (and while its
-// scratch demand fits the device arena), grouped-GEMM kernel beyond.
+// Dispatcher, per sequence: each sequence of length <= kShortSeqCutoff whose
+// short-kernel scratch fits the device arena runs the short kernel, every
+// other one the grouped-GEMM kernel (flash under causal masking), within the
+// same call. A sequence's bits therefore depend only on its own length,
+// never on its batch-mates.
 void mha_fused(par::Device& dev, const PackedMhaArgs& args,
                core::Workspace& ws);
 

@@ -26,7 +26,6 @@ constexpr int kKBlock = 64;  // K/V rows streamed per inner step
 void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
                     core::Workspace& ws) {
   (void)ws;
-  const core::SeqOffsets& off = *args.offsets;
   const int heads = args.heads;
   const int d = args.head_size;
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * d;
@@ -34,12 +33,12 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
 
   par::Dim3 grid;
   grid.x = heads;
-  grid.y = off.batch;
+  grid.y = args.num_seqs();
   dev.launch(grid, [&](par::CtaContext& ctx) {
     const int h = ctx.block_x;
-    const int b = ctx.block_y;
-    const int len = off.seq_lens[static_cast<std::size_t>(b)];
-    const std::int64_t seq_base = off.batch_offset[static_cast<std::size_t>(b)];
+    const int b = args.seq(ctx.block_y);
+    const int len = args.seq_len(b);
+    const int q_start = args.q_start_of(b);
 
     auto q_tile = ctx.scratch->alloc_or_abort<float>(
         kQBlock * static_cast<std::size_t>(d), "flash MHA Q tile");
@@ -63,11 +62,10 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
       // independent (m/l reset per block), so skipping whole blocks leaves
       // the remaining blocks bitwise identical to a q_start=0 run; a
       // straddling block recomputes its cached rows.
-      if (q0 + qr <= args.q_start) continue;
+      if (q0 + qr <= q_start) continue;
       // Load the query block with bias fused.
       for (int i = 0; i < qr; ++i) {
-        const fp16_t* src =
-            args.qkv + (seq_base + q0 + i) * 3 * hidden + 0 * hidden + h * d;
+        const fp16_t* src = args.qkv_row(b, q0 + i) + 0 * hidden + h * d;
         float* dst = q_tile.data() + static_cast<std::int64_t>(i) * d;
         convert_row_f32(src, dst, d);
         for (int e = 0; e < d; ++e) dst[e] += load_f32(q_bias[e]);
@@ -87,8 +85,7 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
         const int kr = std::min(kKBlock, k_end - k0);
         // S_tile = scale * Q K^T for this block pair.
         for (int j = 0; j < kr; ++j) {
-          const fp16_t* src = args.qkv + (seq_base + k0 + j) * 3 * hidden +
-                              1 * hidden + h * d;
+          const fp16_t* src = args.qkv_row(b, k0 + j) + 1 * hidden + h * d;
           convert_row_f32(src, kv_row.data(), d);
           for (int e = 0; e < d; ++e) kv_row[static_cast<std::size_t>(e)] += load_f32(k_bias[e]);
           for (int i = 0; i < qr; ++i) {
@@ -124,8 +121,7 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
         }
         // o_acc += P_tile @ V_tile, V rows widened once apiece.
         for (int j = 0; j < kr; ++j) {
-          const fp16_t* src = args.qkv + (seq_base + k0 + j) * 3 * hidden +
-                              2 * hidden + h * d;
+          const fp16_t* src = args.qkv_row(b, k0 + j) + 2 * hidden + h * d;
           convert_row_f32(src, kv_row.data(), d);
           for (int e = 0; e < d; ++e) kv_row[static_cast<std::size_t>(e)] += load_f32(v_bias[e]);
           for (int i = 0; i < qr; ++i) {
@@ -137,13 +133,12 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
         }
       }
 
-      // Normalize and store the query block.
-      for (int i = 0; i < qr; ++i) {
+      // Normalize and store the block's computed rows.
+      for (int i = std::max(0, q_start - q0); i < qr; ++i) {
         const float inv = 1.0f / l_run[static_cast<std::size_t>(i)];
         float* orow = o_acc.data() + static_cast<std::int64_t>(i) * d;
         for (int e = 0; e < d; ++e) orow[e] *= inv;
-        fp16_t* dst = args.ctx + (seq_base + q0 + i) * hidden + h * d;
-        convert_row_from_f32(orow, dst, d);
+        convert_row_from_f32(orow, args.ctx_row(b, q0 + i) + h * d, d);
       }
     }
   });

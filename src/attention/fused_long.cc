@@ -19,6 +19,7 @@
 // softmax costs little next to the two GEMMs, as the fusion intends.
 // Q/K/V are consumed directly from the packed token rows via leading-dim
 // strides; the context lands directly in packed rows too.
+#include <cassert>
 #include <vector>
 
 #include "attention/attention.h"
@@ -40,19 +41,31 @@ void mha_fused_long(par::Device& dev, const PackedMhaArgs& args,
   const core::SeqOffsets& off = *args.offsets;
   const int heads = args.heads;
   const int d = args.head_size;
-  const int batch = off.batch;
+  const int batch = args.num_seqs();  // problem-local sequence index below
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * d;
   const int num_problems = batch * heads;
+  assert(args.q_start.empty() && "prefix resume needs causal masking");
 
   // Bias-fused split of the packed QKV rows into packed Q/K/V. (The CUDA
   // version folds the bias into the GEMM's operand iterator; here it is one
-  // linear pass over the packed — not padded — rows.)
+  // linear pass over the packed — not padded — rows of each run of
+  // consecutive sequences this call computes.)
   auto q = ws.get<fp16_t>("mha.long.q", off.valid_count * hidden);
   auto k = ws.get<fp16_t>("mha.long.k", off.valid_count * hidden);
   auto v = ws.get<fp16_t>("mha.long.v", off.valid_count * hidden);
-  kernels::split_qkv_add_bias_packed(dev, args.qkv, args.qkv_bias, q.data(),
-                                     k.data(), v.data(), off.valid_count,
-                                     heads, d);
+  for (int i = 0; i < batch;) {
+    int j = i + 1;
+    while (j < batch && args.seq(j) == args.seq(j - 1) + 1) ++j;
+    const std::int64_t row0 =
+        off.batch_offset[static_cast<std::size_t>(args.seq(i))];
+    const std::int64_t row1 =
+        off.batch_offset[static_cast<std::size_t>(args.seq(j - 1)) + 1];
+    kernels::split_qkv_add_bias_packed(
+        dev, args.qkv + row0 * 3 * hidden, args.qkv_bias,
+        q.data() + row0 * hidden, k.data() + row0 * hidden,
+        v.data() + row0 * hidden, row1 - row0, heads, d);
+    i = j;
+  }
 
   // Per-problem score blocks (FP16, like the paper's half logits) and
   // softmax partial/full statistics, laid out via per-batch prefix sums.
@@ -60,7 +73,7 @@ void mha_fused_long(par::Device& dev, const PackedMhaArgs& args,
   std::vector<std::int64_t> stat_off(static_cast<std::size_t>(batch) + 1, 0);
   std::vector<std::int64_t> partial_off(static_cast<std::size_t>(batch) + 1, 0);
   for (int b = 0; b < batch; ++b) {
-    const std::int64_t len = off.seq_lens[static_cast<std::size_t>(b)];
+    const std::int64_t len = args.seq_len(args.seq(b));
     const std::int64_t col_tiles = ceil_div(len, gemm::TileShape::kN);
     score_off[static_cast<std::size_t>(b) + 1] =
         score_off[static_cast<std::size_t>(b)] + len * len;
@@ -90,9 +103,10 @@ void mha_fused_long(par::Device& dev, const PackedMhaArgs& args,
   std::vector<std::int64_t> stat_bases(static_cast<std::size_t>(num_problems));
 
   for (int b = 0; b < batch; ++b) {
-    const std::int64_t len = off.seq_lens[static_cast<std::size_t>(b)];
+    const int seq = args.seq(b);
+    const std::int64_t len = args.seq_len(seq);
     const std::int64_t col_tiles = ceil_div(len, gemm::TileShape::kN);
-    const std::int64_t row0 = off.batch_offset[static_cast<std::size_t>(b)];
+    const std::int64_t row0 = off.batch_offset[static_cast<std::size_t>(seq)];
     for (int h = 0; h < heads; ++h) {
       const std::size_t p = static_cast<std::size_t>(b) * heads + static_cast<std::size_t>(h);
       fp16_t* score_block =
@@ -112,7 +126,7 @@ void mha_fused_long(par::Device& dev, const PackedMhaArgs& args,
       pv[p] = {len, d, len,
                score_block, len,
                v.data() + row0 * hidden + static_cast<std::int64_t>(h) * d, hidden,
-               args.ctx + row0 * hidden + static_cast<std::int64_t>(h) * d, hidden};
+               args.ctx_row(seq, 0) + static_cast<std::int64_t>(h) * d, hidden};
       partials[p] = {pmax.data() + partial_base, psum.data() + partial_base,
                      col_tiles, len};
       stats[p] = {row_max.data() + stat_base, row_inv_sum.data() + stat_base};

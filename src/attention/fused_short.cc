@@ -54,12 +54,12 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
   // shape, the grouped-GEMM kernel is the correct implementation — the same
   // decision the CUDA dispatcher makes at compile time via shared-memory
   // limits.
-  if (fused_short_scratch_bytes(args.offsets->max_seq, args.head_size) >
+  const int max_len = args.max_len();
+  if (fused_short_scratch_bytes(max_len, args.head_size) >
       dev.scratch_bytes()) {
     mha_fused_long(dev, args, ws);
     return;
   }
-  const core::SeqOffsets& off = *args.offsets;
   const int heads = args.heads;
   const int d = args.head_size;
   assert(d <= gemm::TileShape::kK && "head_size exceeds the K panel depth");
@@ -68,13 +68,13 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
 
   par::Dim3 grid;
   grid.x = heads;
-  grid.y = static_cast<int>(ceil_div(off.max_seq, kSplitSeqLen));
-  grid.z = off.batch;
+  grid.y = static_cast<int>(ceil_div(max_len, kSplitSeqLen));
+  grid.z = args.num_seqs();
   dev.launch(grid, [&](par::CtaContext& ctx) {
     const int h = ctx.block_x;
     const int tile = ctx.block_y;
-    const int b = ctx.block_z;
-    const int len = off.seq_lens[static_cast<std::size_t>(b)];
+    const int b = args.seq(ctx.block_z);
+    const int len = args.seq_len(b);
     const int q_begin = tile * kSplitSeqLen;
     if (q_begin >= len) return;  // tile entirely past this sequence's end
     const int rows = std::min(kSplitSeqLen, len - q_begin);
@@ -82,8 +82,8 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     // already served from cached context. Whole tiles only — a straddling
     // tile recomputes its cached rows (they are simply not stored), keeping
     // the computed rows bitwise identical to a q_start=0 run.
-    if (q_begin + rows <= args.q_start) return;
-    const std::int64_t seq_base = off.batch_offset[static_cast<std::size_t>(b)];
+    const int q_start = args.q_start_of(b);
+    if (q_begin + rows <= q_start) return;
     constexpr int kPK = gemm::TileShape::kK;
     constexpr int kPN = gemm::TileShape::kN;
 
@@ -114,8 +114,7 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
 
     // Fill the A panel with Q + bias, zero-padded to the panel depth.
     for (int i = 0; i < rows; ++i) {
-      const fp16_t* src = args.qkv + (seq_base + q_begin + i) * 3 * hidden +
-                          0 * hidden + h * d;
+      const fp16_t* src = args.qkv_row(b, q_begin + i) + 0 * hidden + h * d;
       float* dst = q_panel.data() + static_cast<std::int64_t>(i) * kPK;
       convert_row_f32(src, dst, d);
       for (int j = 0; j < d; ++j) dst[j] += q_bias[j];
@@ -129,8 +128,7 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     for (int col0 = 0; col0 < len; col0 += kPN) {
       const int nc = std::min(kPN, len - col0);
       for (int j = 0; j < nc; ++j) {
-        const fp16_t* src =
-            args.qkv + (seq_base + col0 + j) * 3 * hidden + 1 * hidden + h * d;
+        const fp16_t* src = args.qkv_row(b, col0 + j) + 1 * hidden + h * d;
         convert_row_f32(src, row_buf.data(), d);
         float* col = k_panel.data() + j;
         for (int p = 0; p < d; ++p) {
@@ -174,8 +172,7 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
       ctx_acc[i] = 0.0f;
     }
     for (int j = 0; j < len; ++j) {
-      const fp16_t* src =
-          args.qkv + (seq_base + j) * 3 * hidden + 2 * hidden + h * d;
+      const fp16_t* src = args.qkv_row(b, j) + 2 * hidden + h * d;
       convert_row_f32(src, row_buf.data(), d);
       for (int e = 0; e < d; ++e) row_buf[e] += v_bias[e];
       const int i_first = args.causal ? std::max(0, j - q_begin) : 0;
@@ -186,11 +183,10 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
       }
     }
 
-    // Stream the tile to the packed output rows.
-    for (int i = 0; i < rows; ++i) {
-      fp16_t* dst = args.ctx + (seq_base + q_begin + i) * hidden + h * d;
+    // Stream the tile's computed rows to the packed output rows.
+    for (int i = std::max(0, q_start - q_begin); i < rows; ++i) {
       convert_row_from_f32(ctx_acc.data() + static_cast<std::int64_t>(i) * d,
-                           dst, d);
+                           args.ctx_row(b, q_begin + i) + h * d, d);
     }
   });
 }

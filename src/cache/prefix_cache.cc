@@ -130,6 +130,7 @@ void PrefixCache::extend(const std::string& key,
                          const std::shared_ptr<const PrefixEntry>& base,
                          const fp16_t* suffix_input, std::int64_t new_len,
                          const fp16_t* suffix_qkv,
+                         std::int64_t qkv_layer_stride_rows,
                          const fp16_t* suffix_output) {
   const std::int64_t hidden = base->hidden;
   const int layers = base->layers;
@@ -150,7 +151,7 @@ void PrefixCache::extend(const std::string& key,
                 static_cast<std::size_t>(base->length * 3 * hidden) *
                     sizeof(fp16_t));
     std::memcpy(dst + base->length * 3 * hidden,
-                suffix_qkv + static_cast<std::int64_t>(l) * suffix * 3 * hidden,
+                suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden,
                 static_cast<std::size_t>(suffix * 3 * hidden) *
                     sizeof(fp16_t));
   }

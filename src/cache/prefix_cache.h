@@ -134,16 +134,18 @@ class PrefixCache {
               const fp16_t* output_rows);
 
   // Grow `base` (a probe() result for this key) by the suffix just encoded:
-  // suffix_qkv is [layers, suffix, 3*hidden] contiguous, suffix_output
-  // [suffix, hidden], suffix_input the rows hashed into the new entry's
-  // hash (continuing from base->hash). Builds a new immutable entry of
-  // length new_len and replaces the key; `base` itself is never mutated.
-  // If the key was evicted or replaced since the probe, the extension still
-  // stores (it is the newest state for the conversation).
+  // suffix_qkv points at the suffix's layer-0 QKV rows (layer l's rows live
+  // at suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden, as in insert),
+  // suffix_output is [suffix, hidden], suffix_input the rows hashed into the
+  // new entry's hash (continuing from base->hash). Builds a new immutable
+  // entry of length new_len and replaces the key; `base` itself is never
+  // mutated. If the key was evicted or replaced since the probe, the
+  // extension still stores (it is the newest state for the conversation).
   void extend(const std::string& key,
               const std::shared_ptr<const PrefixEntry>& base,
               const fp16_t* suffix_input, std::int64_t new_len,
-              const fp16_t* suffix_qkv, const fp16_t* suffix_output);
+              const fp16_t* suffix_qkv, std::int64_t qkv_layer_stride_rows,
+              const fp16_t* suffix_output);
 
   // Drop a session's entry (correctness action, counted as invalidation).
   void invalidate(const std::string& key);

@@ -1,7 +1,6 @@
 #include "core/encoder_layer.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "attention/attention.h"
 #include "core/weight_gemm.h"
@@ -74,8 +73,11 @@ void padded_attention_block(par::Device& dev, const BertConfig& cfg,
   }
 }
 
-}  // namespace
-
+// Everything after attention — projection GEMM, layernorm #0, FFN, layernorm
+// #1 — over `rows` token rows. All of these operate row-independently, which
+// is why a resumed layer runs them over just the computed rows and stays
+// bitwise identical to the full-layer run. `ctx_rows` is the attention
+// output, `input` the layer input (residual source).
 void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
                         const LayerWeights& w, const OptFlags& flags,
                         const fp16_t* ctx_rows, const fp16_t* input,
@@ -88,7 +90,8 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
   auto attn_out = ws.get<fp16_t>("layer.attn_out", rows * h);
   auto ln1_out = ws.get<fp16_t>("layer.ln1_out", rows * h);
   auto ffn_mid = ws.get<fp16_t>("layer.ffn_mid", rows * inner);
-  auto ffn_out = ws.get<fp16_t>("layer.ffn_out", rows * h);
+  // GEMM #3 reuses attn_out's buffer: layernorm #0 is its last reader.
+  const std::span<fp16_t> ffn_out = attn_out;
 
   // GEMM #1: attention output projection.
   {
@@ -152,13 +155,13 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
   }
 }
 
-namespace {
-
-// The fused-MHA switch shared by the forward and resume paths.
+// The fused-MHA switch: the computed query rows of `resume` (all rows
+// without it) land in ctx_rows; cached prefix rows are read in place.
 void fused_attention(par::Device& dev, const BertConfig& cfg,
                      const LayerWeights& w, const OptFlags& flags,
                      const fp16_t* qkv, fp16_t* ctx_rows,
-                     const SeqOffsets& off, int q_start, Workspace& ws) {
+                     const SeqOffsets& off, const LayerResume* resume,
+                     Workspace& ws) {
   attn::PackedMhaArgs args;
   args.qkv = qkv;
   args.qkv_bias = w.b_qkv.data();
@@ -167,7 +170,11 @@ void fused_attention(par::Device& dev, const BertConfig& cfg,
   args.heads = cfg.heads;
   args.head_size = cfg.head_size;
   args.causal = flags.causal;
-  args.q_start = q_start;
+  if (resume != nullptr) {
+    args.q_start = resume->q_start;
+    args.computed_offset = resume->computed_offset;
+    args.prefix_qkv = resume->prefix_qkv;
+  }
   switch (flags.fused_kind) {
     case FusedMhaKind::kDispatch:
       attn::mha_fused(dev, args, ws);
@@ -190,11 +197,14 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
                            const LayerWeights& w, const OptFlags& flags,
                            const fp16_t* input, fp16_t* output,
                            const SeqOffsets& off, Workspace& ws,
-                           StageTimes* times) {
+                           StageTimes* times, const LayerResume* resume) {
+  assert(resume == nullptr ||
+         (flags.causal && flags.fused_mha && flags.zero_padding));
   const std::int64_t h = cfg.hidden();
   const std::int64_t rows =
-      flags.zero_padding ? off.valid_count
-                         : static_cast<std::int64_t>(off.batch) * off.max_seq;
+      resume != nullptr    ? resume->computed_offset.back()
+      : flags.zero_padding ? off.valid_count
+                           : static_cast<std::int64_t>(off.batch) * off.max_seq;
 
   auto qkv = ws.get<fp16_t>("layer.qkv", rows * 3 * h);
   auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", rows * h);
@@ -203,7 +213,9 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
   // available — bitwise identical to packing on the fly, minus the packing.
   const bool prepacked = flags.prepacked_weights && w.packed.ready;
 
-  // GEMM #0: packed (Q,K,V) positioning encoding in one GEMM.
+  // GEMM #0: packed (Q,K,V) positioning encoding in one GEMM. Each output
+  // row depends only on its own input row (fixed k-accumulation order), so
+  // computed rows are bitwise identical to the same rows of a full encode.
   {
     StageScope scope(times, "gemm0");
     weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv, w.w_qkv,
@@ -215,7 +227,7 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
     StageScope scope(times, "attention");
     if (flags.zero_padding && flags.fused_mha) {
       fused_attention(dev, cfg, w, flags, qkv.data(), ctx_rows.data(), off,
-                      /*q_start=*/0, ws);
+                      resume, ws);
     } else {
       assert(!flags.fused_mha || flags.zero_padding);
       assert(!flags.causal && "causal requires the fused packed kernels");
@@ -226,53 +238,6 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
 
   encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data(), input, output, rows,
                      ws, times);
-}
-
-void encoder_layer_resume(par::Device& dev, const BertConfig& cfg,
-                          const LayerWeights& w, const OptFlags& flags,
-                          const fp16_t* prefix_qkv, const fp16_t* suffix_input,
-                          fp16_t* suffix_output, fp16_t* suffix_qkv,
-                          const SeqOffsets& off, std::int64_t prefix_rows,
-                          Workspace& ws, StageTimes* times) {
-  assert(off.batch == 1 && "resume operates on one sequence");
-  assert(flags.causal && flags.fused_mha && flags.zero_padding);
-  const std::int64_t h = cfg.hidden();
-  const std::int64_t total = off.valid_count;
-  const std::int64_t suffix = total - prefix_rows;
-  assert(prefix_rows > 0 && suffix > 0);
-
-  // Same workspace keys as the full path: the buffers are shared (grow-only)
-  // and a resumed round reuses whatever the full rounds already sized.
-  auto qkv = ws.get<fp16_t>("layer.qkv", total * 3 * h);
-  auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", total * h);
-  const bool prepacked = flags.prepacked_weights && w.packed.ready;
-
-  // GEMM #0 over the suffix rows only, written in place at their sequence
-  // position. Each output row depends only on its own input row (fixed
-  // k-accumulation order), so these rows are bitwise identical to rows
-  // [prefix_rows, total) of the full-sequence GEMM.
-  {
-    StageScope scope(times, "gemm0");
-    weight_gemm(dev, prepacked, suffix, 3 * h, h, suffix_input, w.packed.qkv,
-                w.w_qkv, qkv.data() + prefix_rows * 3 * h);
-  }
-  // Reassemble the full QKV buffer: cached prefix rows + fresh suffix rows.
-  std::memcpy(qkv.data(), prefix_qkv,
-              static_cast<std::size_t>(prefix_rows * 3 * h) * sizeof(fp16_t));
-  // Stream the suffix QKV out so the caller can extend the cache entry.
-  std::memcpy(suffix_qkv, qkv.data() + prefix_rows * 3 * h,
-              static_cast<std::size_t>(suffix * 3 * h) * sizeof(fp16_t));
-
-  // Attention over the full sequence, computing only suffix query rows.
-  // Prefix ctx rows are never written (and never read by the tail below).
-  {
-    StageScope scope(times, "attention");
-    fused_attention(dev, cfg, w, flags, qkv.data(), ctx_rows.data(), off,
-                    static_cast<int>(prefix_rows), ws);
-  }
-
-  encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data() + prefix_rows * h,
-                     suffix_input, suffix_output, suffix, ws, times);
 }
 
 }  // namespace bt::core

@@ -10,6 +10,9 @@
 //     [valid_count, hidden] indexed through SeqOffsets.
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "common/half.h"
 #include "common/timer.h"
 #include "core/config.h"
@@ -20,50 +23,37 @@
 
 namespace bt::core {
 
+// Prefix resume (cache/prefix_cache.h) for one layer of a packed forward:
+// sequence b of `off` resumes after its first q_start[b] tokens, whose raw
+// QKV rows for this layer (gemm0 output, bias unapplied — exactly what the
+// fused kernels consume) are prefix_qkv[b], [q_start[b], 3*hidden]. The
+// layer input/output then hold only the computed rows [q_start[b], len_b)
+// of each sequence, packed in sequence order: sequence b's first computed
+// row is row computed_offset[b]. q_start[b] = 0 (a cache miss) computes the
+// whole sequence.
+struct LayerResume {
+  std::span<const int> q_start;                   // [batch]
+  std::span<const std::int64_t> computed_offset;  // [batch + 1]
+  std::span<const fp16_t* const> prefix_qkv;      // [batch]
+};
+
 // Stage keys used for the Fig. 3 breakdown: "gemm0", "attention", "gemm1",
 // "layernorm0", "gemm2", "add_bias_gelu" (unfused only), "gemm3",
 // "layernorm1". Split/merge transposes are attributed to "attention".
+//
+// With `resume`, gemm0, the projection, the FFN and both layernorms run
+// over the computed rows only — all of them are row-independent — while
+// attention reads each sequence's cached prefix QKV rows in place next to
+// the fresh rows and computes only the computed query rows.
+// Every computed output row is bitwise identical to the same row of a run
+// without `resume` over the whole sequences. Requires flags.causal +
+// fused_mha + zero_padding (validated by the caller): under bidirectional
+// attention the computed rows' context would not match a full encode.
 void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
                            const LayerWeights& w, const OptFlags& flags,
                            const fp16_t* input, fp16_t* output,
                            const SeqOffsets& off, Workspace& ws,
-                           StageTimes* times = nullptr);
-
-// Everything after attention — projection GEMM, layernorm #0, FFN, layernorm
-// #1 — over `rows` token rows. All of these operate row-independently, which
-// is why the prefix-resume path below can run them over just the suffix rows
-// and still be bitwise identical to the full-layer run; sharing the
-// implementation here is what keeps the two paths from drifting. `ctx_rows`
-// is the attention output, `input` the layer input (residual source).
-void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
-                        const LayerWeights& w, const OptFlags& flags,
-                        const fp16_t* ctx_rows, const fp16_t* input,
-                        fp16_t* output, std::int64_t rows, Workspace& ws,
-                        StageTimes* times = nullptr);
-
-// Prefix-resume layer step for one sequence (cache/prefix_cache.h). Given
-// the layer's cached raw QKV rows for the first `prefix_rows` tokens
-// (`prefix_qkv`, [prefix_rows, 3*hidden], bias unapplied — exactly the raw
-// gemm0 output the fused kernels consume) and the layer's input for the
-// suffix tokens, computes the layer's output for the suffix only:
-//
-//   1. gemm0 over the suffix rows -> suffix QKV (also streamed to
-//      `suffix_qkv` so the caller can extend the cache entry),
-//   2. attention over the FULL sequence with causal masking and
-//      q_start = prefix_rows (prefix query tiles are skipped, prefix K/V
-//      rows are read from the reassembled QKV buffer),
-//   3. the shared tail over the suffix rows.
-//
-// `off` must describe exactly one sequence of length prefix_rows + suffix.
-// Requires flags.causal (validated by the caller): under bidirectional
-// attention the suffix context would not match a full re-encode. Every
-// suffix output row is bitwise identical to the same row of
-// encoder_layer_forward over the whole sequence.
-void encoder_layer_resume(par::Device& dev, const BertConfig& cfg,
-                          const LayerWeights& w, const OptFlags& flags,
-                          const fp16_t* prefix_qkv, const fp16_t* suffix_input,
-                          fp16_t* suffix_output, fp16_t* suffix_qkv,
-                          const SeqOffsets& off, std::int64_t prefix_rows,
-                          Workspace& ws, StageTimes* times = nullptr);
+                           StageTimes* times = nullptr,
+                           const LayerResume* resume = nullptr);
 
 }  // namespace bt::core

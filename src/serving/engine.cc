@@ -189,31 +189,6 @@ void Engine::refresh_workspace_allocations() {
   stats_.workspace_allocations = total;
 }
 
-namespace {
-
-// Stages each layer's packed QKV rows into one [layers, rows, 3*hidden]
-// buffer during a forward pass, so the engine can slice per-request row
-// ranges out afterwards and insert them into the prefix cache.
-class StagingCaptureSink final : public core::QkvCaptureSink {
- public:
-  StagingCaptureSink(fp16_t* buf, std::int64_t rows, std::int64_t hidden)
-      : buf_(buf), rows_(rows), hidden_(hidden) {}
-
-  void on_layer_qkv(int layer, const fp16_t* qkv) override {
-    std::memcpy(buf_ + static_cast<std::int64_t>(layer) * rows_ * 3 * hidden_,
-                qkv,
-                static_cast<std::size_t>(rows_ * 3 * hidden_) *
-                    sizeof(fp16_t));
-  }
-
- private:
-  fp16_t* buf_;
-  std::int64_t rows_;
-  std::int64_t hidden_;
-};
-
-}  // namespace
-
 std::vector<Response> Engine::run_batch() {
   if (queue_.empty()) return {};
 
@@ -231,156 +206,110 @@ std::vector<Response> Engine::run_batch() {
   std::vector<Response> responses(count);
   core::Workspace& ws = round_workspace(count);
 
-  // Prefix-cache probe: sessioned requests whose input extends a cached
-  // prefix are peeled out of the batch and resumed individually; everything
-  // else (sessionless, cache miss, cache off) runs the batched path below.
-  struct CacheHit {
-    std::size_t pos;  // queue / responses position
-    std::string key;
-    std::shared_ptr<const cache::PrefixEntry> entry;
-  };
-  std::vector<CacheHit> hits;
-  std::vector<std::size_t> miss;  // miss-local index -> queue position
-  miss.reserve(count);
+  // Prefix-cache probe: a sessioned request whose input extends a cached
+  // prefix resumes from it and computes only its suffix; everything else
+  // (sessionless, cache miss, cache off) computes every row. Either way the
+  // request rides the same packed forward below.
+  std::vector<std::string> keys(count);  // empty: not cached
+  std::vector<std::shared_ptr<const cache::PrefixEntry>> hits(count);
+  std::vector<int> computed(count);
   for (std::size_t i = 0; i < count; ++i) {
     const Pending& p = queue_[i];
     if (opts_.prefix_cache != nullptr && p.session.has_value()) {
-      std::string key =
-          cache::PrefixCache::session_key(opts_.cache_scope, *p.session);
-      auto entry =
-          opts_.prefix_cache->probe(key, p.hidden.data(), p.hidden.dim(0));
-      if (entry != nullptr) {
-        hits.push_back(CacheHit{i, std::move(key), std::move(entry)});
-        continue;
-      }
-      stats_.cache_misses += 1;
+      keys[i] = cache::PrefixCache::session_key(opts_.cache_scope, *p.session);
+      hits[i] = opts_.prefix_cache->probe(keys[i], p.hidden.data(),
+                                          p.hidden.dim(0));
+      if (hits[i] == nullptr) stats_.cache_misses += 1;
     }
-    miss.push_back(i);
+    computed[i] = static_cast<int>(p.hidden.dim(0) -
+                                   (hits[i] != nullptr ? hits[i]->length : 0));
   }
 
-  // Resumed requests: each is one single-sequence model invocation that
-  // encodes only the suffix. The result is bitwise identical to a full
-  // single-sequence re-encode (core/encoder_layer.h), and the extended
-  // state goes straight back into the cache for the next round.
-  for (CacheHit& hit : hits) {
-    Pending& p = queue_[hit.pos];
-    const std::int64_t total = p.hidden.dim(0);
-    const std::int64_t prefix = hit.entry->length;
-    const std::int64_t suffix = total - prefix;
-    const int len = static_cast<int>(total);
-    const core::SeqOffsets off =
-        core::build_seq_offsets(dev_, std::span<const int>(&len, 1), len);
-    auto suffix_qkv =
-        ws.get<fp16_t>("engine.cache_suffix_qkv", layers * suffix * 3 * h);
+  // The plan runs over computed rows: a resumed prefix is neither processed
+  // nor counted, so throughput math stays honest.
+  const BatchPlan plan = plan_batch(opts_.policy, computed, opts_.group_size);
+  for (const MicroBatch& mb : plan.micro) {
+    const std::size_t gb = mb.indices.size();
+    const std::int64_t rows = mb.valid_tokens;
+    auto in = ws.get<fp16_t>("engine.in", rows * h);
+    auto out = ws.get<fp16_t>("engine.out", rows * h);
 
-    Response& r = responses[hit.pos];
-    r.id = p.id;
-    r.output = Tensor<fp16_t>({total, h});
-    // Prefix output rows come straight from the cache — zero compute.
-    std::memcpy(r.output.data(), hit.entry->output.data(),
-                static_cast<std::size_t>(prefix * h) * sizeof(fp16_t));
+    // Packed gather of each request's computed rows.
+    std::vector<int> lens(gb);
+    std::vector<core::SeqPrefix> prefix(gb);
+    bool capture_wanted = false;
+    std::int64_t row = 0;
+    for (std::size_t i = 0; i < gb; ++i) {
+      const std::size_t pos = static_cast<std::size_t>(mb.indices[i]);
+      const Pending& p = queue_[pos];
+      lens[i] = static_cast<int>(p.hidden.dim(0));
+      if (hits[pos] != nullptr) {
+        prefix[i] = core::SeqPrefix{hits[pos]->qkv.data(), hits[pos]->length};
+      }
+      std::memcpy(in.data() + row * h, p.hidden.data() + prefix[i].rows * h,
+                  static_cast<std::size_t>(computed[pos] * h) *
+                      sizeof(fp16_t));
+      row += computed[pos];
+      capture_wanted |= !keys[pos].empty();
+    }
+    const core::SeqOffsets off = core::build_seq_offsets(
+        dev_, lens, *std::max_element(lens.begin(), lens.end()));
+
+    // Sessioned requests update the cache from this very forward pass: the
+    // sink stages every layer's computed QKV rows, and the loop below slices
+    // each request's row range out by its computed-row offset.
+    std::optional<core::QkvStagingSink> sink;
+    std::span<fp16_t> capture;
+    if (capture_wanted) {
+      capture = ws.get<fp16_t>("engine.cache_capture", layers * rows * 3 * h);
+      sink.emplace(capture.data(), rows, h);
+    }
+
     StageTimes stages;
     Timer t;
-    model_->forward_resume(dev_, hit.entry->qkv.data(), prefix,
-                           p.hidden.data() + prefix * h,
-                           r.output.data() + prefix * h, suffix_qkv.data(),
-                           off, opts_.flags, ws, &stages);
+    model_->forward_packed(dev_, in.data(), out.data(), off, prefix,
+                           opts_.flags, ws, &stages,
+                           capture_wanted ? &*sink : nullptr);
     const double compute = t.seconds();
     stats_.compute_seconds += compute;
-    opts_.prefix_cache->extend(hit.key, hit.entry, p.hidden.data() + prefix * h,
-                               total, suffix_qkv.data(),
-                               r.output.data() + prefix * h);
 
-    r.queue_seconds = queue_secs[hit.pos];
-    r.compute_seconds = compute;
-    r.round = stats_.batches;
-    r.stages = stages;
-    r.session = std::move(p.session);
-    stats_.micro_batches += 1;
-    // Token counters count COMPUTED tokens only: the prefix was not
-    // processed this round, which is the whole point.
-    stats_.valid_tokens += suffix;
-    stats_.processed_tokens += suffix;
-    stats_.cache_hits += 1;
-    stats_.cache_hit_suffix_tokens += suffix;
-    stats_.cache_saved_tokens += prefix;
-  }
-
-  // Batched path over the misses (the entire round when the cache is off).
-  BatchPlan plan;
-  if (!miss.empty()) {
-    std::vector<int> lengths(miss.size());
-    for (std::size_t i = 0; i < miss.size(); ++i) {
-      lengths[i] = static_cast<int>(queue_[miss[i]].hidden.dim(0));
-    }
-    plan = plan_batch(opts_.policy, lengths, opts_.group_size);
-
-    for (const MicroBatch& mb : plan.micro) {
-      const std::int64_t gb = static_cast<std::int64_t>(mb.indices.size());
-      const std::int64_t rows = gb * mb.max_len;
-      auto in = ws.get<fp16_t>("engine.in", rows * h);
-      auto out = ws.get<fp16_t>("engine.out", rows * h);
-
-      // Zero-padded gather: request i's valid rows form the prefix of padded
-      // row-block i, matching build_seq_offsets' prefix-mask convention.
-      std::memset(in.data(), 0, static_cast<std::size_t>(rows * h) * sizeof(fp16_t));
-      std::vector<int> mb_lens(mb.indices.size());
-      bool capture_wanted = false;
-      for (std::size_t i = 0; i < mb.indices.size(); ++i) {
-        const Pending& p =
-            queue_[miss[static_cast<std::size_t>(mb.indices[i])]];
-        mb_lens[i] = static_cast<int>(p.hidden.dim(0));
-        std::memcpy(in.data() + static_cast<std::int64_t>(i) * mb.max_len * h,
-                    p.hidden.data(),
-                    static_cast<std::size_t>(p.hidden.size()) * sizeof(fp16_t));
-        capture_wanted |=
-            opts_.prefix_cache != nullptr && p.session.has_value();
+    // Per-request scatter: cached prefix output rows (zero compute), then
+    // the computed rows.
+    row = 0;
+    for (std::size_t i = 0; i < gb; ++i) {
+      const std::size_t pos = static_cast<std::size_t>(mb.indices[i]);
+      Pending& p = queue_[pos];
+      const std::int64_t pre = prefix[i].rows;
+      Response& r = responses[pos];
+      r.id = p.id;
+      r.output = Tensor<fp16_t>({lens[i], h});
+      if (pre > 0) {
+        std::memcpy(r.output.data(), hits[pos]->output.data(),
+                    static_cast<std::size_t>(pre * h) * sizeof(fp16_t));
       }
-      const core::SeqOffsets off = core::build_seq_offsets(dev_, mb_lens, mb.max_len);
-
-      // Sessioned misses populate the cache from this very forward pass:
-      // the sink stages every layer's packed QKV rows, and the insert loop
-      // below slices each request's row range out by its packed offset.
-      std::optional<StagingCaptureSink> sink;
-      std::span<fp16_t> capture;
-      if (capture_wanted) {
-        capture = ws.get<fp16_t>("engine.cache_capture",
-                                 layers * off.valid_count * 3 * h);
-        sink.emplace(capture.data(), off.valid_count, h);
-      }
-
-      StageTimes stages;
-      Timer t;
-      model_->forward(dev_, in.data(), out.data(), off, opts_.flags, ws,
-                      &stages, capture_wanted ? &*sink : nullptr);
-      const double compute = t.seconds();
-      stats_.compute_seconds += compute;
-
-      // Per-request scatter back to valid-rows-only tensors.
-      for (std::size_t i = 0; i < mb.indices.size(); ++i) {
-        const std::size_t pos =
-            miss[static_cast<std::size_t>(mb.indices[i])];
-        Response& r = responses[pos];
-        r.id = queue_[pos].id;
-        r.output = Tensor<fp16_t>({mb_lens[i], h});
-        std::memcpy(r.output.data(),
-                    out.data() + static_cast<std::int64_t>(i) * mb.max_len * h,
-                    static_cast<std::size_t>(r.output.size()) * sizeof(fp16_t));
-        if (capture_wanted && queue_[pos].session.has_value()) {
-          const Pending& p = queue_[pos];
-          opts_.prefix_cache->insert(
-              cache::PrefixCache::session_key(opts_.cache_scope, *p.session),
-              p.hidden.data(), mb_lens[i], layers, h,
-              capture.data() +
-                  off.batch_offset[static_cast<std::size_t>(i)] * 3 * h,
-              off.valid_count, r.output.data());
+      std::memcpy(r.output.data() + pre * h, out.data() + row * h,
+                  static_cast<std::size_t>(computed[pos] * h) *
+                      sizeof(fp16_t));
+      if (!keys[pos].empty()) {
+        const fp16_t* qkv = capture.data() + row * 3 * h;
+        if (pre > 0) {
+          opts_.prefix_cache->extend(keys[pos], hits[pos],
+                                     p.hidden.data() + pre * h, lens[i], qkv,
+                                     rows, r.output.data() + pre * h);
+          stats_.cache_hits += 1;
+          stats_.cache_hit_suffix_tokens += computed[pos];
+          stats_.cache_saved_tokens += pre;
+        } else {
+          opts_.prefix_cache->insert(keys[pos], p.hidden.data(), lens[i],
+                                     layers, h, qkv, rows, r.output.data());
         }
-        r.queue_seconds = queue_secs[pos];
-        r.compute_seconds = compute;
-        r.round = stats_.batches;  // 0-based: incremented after the round
-        r.stages = stages;
-        r.session = std::move(queue_[pos].session);  // each pos scatters once
       }
+      r.queue_seconds = queue_secs[pos];
+      r.compute_seconds = compute;
+      r.round = stats_.batches;  // 0-based: incremented after the round
+      r.stages = stages;
+      r.session = std::move(p.session);  // each pos scatters once
+      row += computed[pos];
     }
   }
 

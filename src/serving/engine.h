@@ -1,12 +1,14 @@
 // Request-level serving engine — the public entry point of the runtime.
 //
-// The kernel-level API (core::BertModel::forward) wants a zero-padded hidden
-// tensor, a SeqOffsets descriptor, and a caller-managed Workspace; every
-// call site used to re-wire that plumbing by hand. Engine is the serving
-// facade in front of it: callers submit per-request hidden states and get
-// per-request outputs back, while batch formation (via the pluggable
-// scheduler BatchPolicy), offset construction, pad-row zeroing, workspace
-// reuse, and padded-token accounting all live behind this API.
+// The kernel-level API (core::BertModel::forward_packed) wants packed token
+// rows, a SeqOffsets descriptor, per-sequence cached prefixes, and a
+// caller-managed Workspace; every call site used to re-wire that plumbing by
+// hand. Engine is the serving facade in front of it: callers submit
+// per-request hidden states and get per-request outputs back, while batch
+// formation (via the pluggable scheduler BatchPolicy), prefix-cache probing,
+// offset construction, workspace reuse, and padded-token accounting all live
+// behind this API. A round's prefix-cache hits and misses share one packed
+// forward per micro-batch: a hit contributes only its suffix rows.
 //
 //   auto engine = serving::Engine(std::move(model), opts);
 //   auto id = engine.submit(std::move(hidden));   // [len, hidden] rows
@@ -80,7 +82,8 @@ struct EngineOptions {
   // Prefix activation cache (cache/prefix_cache.h), default off. When set,
   // sessioned requests whose input extends a previously-encoded prefix skip
   // re-encoding it: the engine resumes from the cached per-layer state and
-  // computes only the suffix — bitwise identical to the full encode.
+  // computes only the suffix, packed into the same micro-batch as the rest
+  // of the round — bitwise identical to the full encode.
   // Requires flags.causal (the exactness prerequisite; causal itself
   // requires fused_mha) + flags.zero_padding, and a non-DeBERTa model; the
   // Engine constructor throws otherwise. The cache may be shared by many
@@ -211,11 +214,14 @@ struct Response {
   ErrorCode error = ErrorCode::kOk;
   Tensor<fp16_t> output;       // [length, hidden] valid rows only
   double queue_seconds = 0;    // submit -> scheduling-round start
-  double compute_seconds = 0;  // wall time of the owning micro-batch forward
+  double compute_seconds = 0;  // wall time of the owning micro-batch forward,
+                               // shared by every response of that micro-batch
+                               // (cache hits and misses alike)
   long long round = -1;        // 0-based scheduling round that served this
                                // request (dispatch order is observable:
                                // promises resolve in non-decreasing rounds)
   StageTimes stages;           // stage breakdown of the owning micro-batch
+                               // (likewise shared)
   // Provenance: which registered model / replica served the request, and
   // the session it belonged to. `model` is the registry name the serving
   // tier was built under (empty on a bare Engine); `replica` is the
@@ -232,7 +238,10 @@ struct Response {
 struct EngineStats {
   long long requests = 0;
   long long batches = 0;         // scheduling rounds that did work
-  long long micro_batches = 0;   // model invocations
+  long long micro_batches = 0;   // model invocations (under kPacked: one
+                                 // per round, cache hits included)
+  // Token counters come from the round's plan over COMPUTED rows: a cache
+  // hit contributes its suffix only, never the prefix served from cache.
   long long valid_tokens = 0;
   long long processed_tokens = 0;  // per-policy padded-token accounting
   double compute_seconds = 0;
@@ -255,8 +264,8 @@ struct EngineStats {
   // Prefix-cache accounting (zero when EngineOptions::prefix_cache unset):
   // requests resumed from cached state vs. sessioned requests that probed
   // and full-encoded; on hits, the suffix tokens actually computed and the
-  // prefix tokens served from cache (the compute NOT done — token counters
-  // above only ever count computed tokens, so throughput math stays honest).
+  // prefix tokens served from cache (the compute NOT done — the token
+  // counters above only ever count computed tokens).
   long long cache_hits = 0;
   long long cache_misses = 0;
   long long cache_hit_suffix_tokens = 0;

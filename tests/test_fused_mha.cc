@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "attention/attention.h"
@@ -191,16 +193,104 @@ TEST(FusedDispatch, UsesShortKernelUpToCutoff) {
 }
 
 TEST(FusedDispatch, UsesLongKernelPastCutoff) {
+  // Per-sequence dispatch: the sequence past the cutoff runs the long
+  // kernel while its 100-token batch-mate still runs the short one.
   MhaSetup s({kShortSeqCutoff + 16, 100}, kShortSeqCutoff + 16, 1, 16);
   core::Workspace ws;
   auto a = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
   auto b = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+  auto c = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
   auto args_a = s.args(a);
   auto args_b = s.args(b);
+  auto args_c = s.args(c);
   mha_fused(dev(), args_a, ws);
   mha_fused_long(dev(), args_b, ws);
+  mha_fused_short(dev(), args_c, ws);
+  const std::int64_t split = s.off.batch_offset[1] * s.hidden;
   for (std::int64_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.data()[i].bits(), b.data()[i].bits());
+    const fp16_t want = i < split ? b.data()[i] : c.data()[i];
+    EXPECT_EQ(a.data()[i].bits(), want.bits()) << "element " << i;
+  }
+}
+
+// A sequence's bits must not depend on what it is packed with: a 100-token
+// sequence alone and next to a 500-token one (which runs the long or flash
+// kernel) gives the same context, causal or not.
+TEST(FusedDispatch, SequenceBitsIgnoreBatchMates) {
+  for (const bool causal : {false, true}) {
+    MhaSetup mixed({100, 500}, 500, 2, 32, /*seed=*/31);
+    MhaSetup alone({100}, 100, 2, 32);
+    std::memcpy(alone.qkv.data(), mixed.qkv.data(),
+                static_cast<std::size_t>(alone.qkv.size()) * sizeof(fp16_t));
+    alone.bias = mixed.bias.clone();
+    core::Workspace ws;
+    auto ctx_mixed = Tensor<fp16_t>::zeros({mixed.off.valid_count, mixed.hidden});
+    auto ctx_alone = Tensor<fp16_t>::zeros({alone.off.valid_count, alone.hidden});
+    auto args_mixed = mixed.args(ctx_mixed);
+    auto args_alone = alone.args(ctx_alone);
+    args_mixed.causal = args_alone.causal = causal;
+    mha_fused(dev(), args_mixed, ws);
+    mha_fused(dev(), args_alone, ws);
+    EXPECT_EQ(std::memcmp(ctx_mixed.data(), ctx_alone.data(),
+                          static_cast<std::size_t>(ctx_alone.size()) *
+                              sizeof(fp16_t)),
+              0)
+        << "causal=" << causal;
+  }
+}
+
+// Per-sequence q_start: cached prefix rows are read from their own buffers,
+// only the rows at or past each sequence's q_start are computed and stored,
+// at packed computed-row positions, and each is bitwise the row of a
+// q_start = 0 run. Prefixes straddle the short kernel's 48-row tiles (47,
+// 48, 49) and a 64-row flash block (430), next to a full sequence.
+TEST(FusedDispatch, PerSequenceQStartStoresComputedRowsBitwise) {
+  const std::vector<int> lens{60, 470, 97, 130, 70};
+  const std::vector<int> q_start{0, 430, 48, 47, 49};
+  MhaSetup s(lens, 470, 2, 16, /*seed=*/33);
+  const std::int64_t width = 3 * s.hidden;
+  std::vector<std::int64_t> computed_offset(lens.size() + 1, 0);
+  std::vector<const fp16_t*> prefix_qkv(lens.size());
+  for (std::size_t b = 0; b < lens.size(); ++b) {
+    computed_offset[b + 1] = computed_offset[b] + lens[b] - q_start[b];
+    prefix_qkv[b] = s.qkv.data() + s.off.batch_offset[b] * width;
+  }
+  // The computed rows' QKV, packed on their own.
+  auto computed_qkv = Tensor<fp16_t>::zeros({computed_offset.back(), width});
+  for (std::size_t b = 0; b < lens.size(); ++b) {
+    std::memcpy(computed_qkv.data() + computed_offset[b] * width,
+                prefix_qkv[b] + q_start[b] * width,
+                static_cast<std::size_t>((lens[b] - q_start[b]) * width) *
+                    sizeof(fp16_t));
+  }
+  using Kernel = void (*)(par::Device&, const PackedMhaArgs&, core::Workspace&);
+  const std::vector<std::pair<const char*, Kernel>> kernels{
+      {"dispatch", &mha_fused},
+      {"short", &mha_fused_short},
+      {"flash", &mha_flash_like}};
+  for (const auto& [name, kernel] : kernels) {
+    core::Workspace ws;
+    auto full = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+    auto computed = Tensor<fp16_t>::zeros({computed_offset.back(), s.hidden});
+    auto args_full = s.args(full);
+    auto args = s.args(computed);
+    args_full.causal = args.causal = true;
+    args.qkv = computed_qkv.data();
+    args.q_start = q_start;
+    args.computed_offset = computed_offset;
+    args.prefix_qkv = prefix_qkv;
+    kernel(dev(), args_full, ws);
+    kernel(dev(), args, ws);
+    for (std::size_t b = 0; b < lens.size(); ++b) {
+      const std::int64_t rows = lens[b] - q_start[b];
+      EXPECT_EQ(std::memcmp(computed.data() + computed_offset[b] * s.hidden,
+                            full.data() + (s.off.batch_offset[b] + q_start[b]) *
+                                              s.hidden,
+                            static_cast<std::size_t>(rows * s.hidden) *
+                                sizeof(fp16_t)),
+                0)
+          << name << " sequence " << b;
+    }
   }
 }
 

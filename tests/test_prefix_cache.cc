@@ -157,10 +157,11 @@ TEST(PrefixCache, ExtendBuildsLongerSiblingWithContinuedHash) {
   const auto base = cache.probe(key, conv.input.data(), 16);
   ASSERT_NE(base, nullptr);
 
-  // Extend by the 6 suffix rows; suffix qkv is [layers, 6, 12] contiguous.
+  // Extend by the 6 suffix rows; suffix qkv is [layers, 6, 12] contiguous
+  // (layer stride 6 rows).
   std::vector<fp16_t> sqkv(static_cast<std::size_t>(2 * 6 * 12), fp16_t(1));
   std::vector<fp16_t> sout(static_cast<std::size_t>(6 * 4), fp16_t(2));
-  cache.extend(key, base, conv.input.data() + 10 * 4, 16, sqkv.data(),
+  cache.extend(key, base, conv.input.data() + 10 * 4, 16, sqkv.data(), 6,
                sout.data());
 
   // The new entry validates as a true prefix of an 18-row follow-up whose
@@ -267,8 +268,8 @@ serving::EngineOptions engine_options(serving::BatchPolicy policy) {
 }
 
 // One conversation's full history; round r submits the first lens[r] rows.
-// Lengths stay far below attention.h kShortSeqCutoff so the kernel-dispatch
-// choice cannot differ between a resume and its full-encode reference.
+// attention.h's dispatch is per sequence, so a resume and its full-encode
+// reference run the same kernel whatever they are batched with.
 Tensor<fp16_t> make_history(int total, int hidden, int seed) {
   Rng rng(seed);
   return Tensor<fp16_t>::random_normal({total, hidden}, rng);
@@ -419,6 +420,90 @@ TEST_P(PrefixCacheEngine, EvictionMidConversationStaysExact) {
   EXPECT_EQ(cached.stats().cache_hits, 0);
   EXPECT_EQ(cached.stats().cache_misses, 3);
   EXPECT_LE(cache->stats().bytes, cache->budget());
+}
+
+// One round mixing every kind of request: hits whose prefixes straddle the
+// short kernel's 48-row query tiles (47, 48, 49) and a 64-row flash block
+// (430 of a 470-token sequence, past the short kernel's cutoff), a
+// sessioned miss and a sessionless request. Every output is bitwise equal
+// to a cache-less single-request encode, and under kPacked the whole round
+// is one model invocation.
+TEST_P(PrefixCacheEngine, MixedRoundOfHitsAndMissesStaysExact) {
+  auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
+  serving::EngineOptions cached_opts = engine_options(GetParam());
+  cached_opts.prefix_cache = cache;
+  cached_opts.cache_scope = "tiny";
+  serving::Engine cached(shared_model(), cached_opts);
+  serving::Engine plain(shared_model(), engine_options(GetParam()));
+
+  struct Turn {
+    const char* session;  // nullptr: sessionless
+    int prefix;           // rows seeded into the cache beforehand; 0: miss
+    int len;
+  };
+  const std::vector<Turn> turns{{"t47", 47, 60},   {"t48", 48, 97},
+                                {"t49", 49, 130},  {"flash", 430, 470},
+                                {"fresh", 0, 75},  {nullptr, 0, 33}};
+  const int hidden = static_cast<int>(cached.hidden());
+  std::vector<Tensor<fp16_t>> histories;
+  long long suffix_tokens = 0;
+  long long saved_tokens = 0;
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    histories.push_back(
+        make_history(turns[i].len, hidden, 60 + static_cast<int>(i)));
+    if (turns[i].prefix > 0) {
+      run_one(cached, prefix_of(histories[i], turns[i].prefix),
+              turns[i].session);
+      suffix_tokens += turns[i].len - turns[i].prefix;
+      saved_tokens += turns[i].prefix;
+    }
+  }
+  const serving::EngineStats before = cached.stats();
+
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    serving::Request req;
+    req.hidden = prefix_of(histories[i], turns[i].len);
+    if (turns[i].session != nullptr) req.session = turns[i].session;
+    cached.submit(std::move(req));
+  }
+  const std::vector<serving::Response> round = cached.run_batch();
+  ASSERT_EQ(round.size(), turns.size());
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    const Tensor<fp16_t> want =
+        run_one(plain, prefix_of(histories[i], turns[i].len), nullptr);
+    expect_bitwise_equal(round[i].output, want,
+                         ("request " + std::to_string(i)).c_str());
+    if (GetParam() == serving::BatchPolicy::kPacked) {
+      EXPECT_EQ(round[i].compute_seconds, round[0].compute_seconds);
+    }
+  }
+
+  const serving::EngineStats st = cached.stats();
+  EXPECT_EQ(st.cache_hits - before.cache_hits, 4);
+  EXPECT_EQ(st.cache_misses - before.cache_misses, 1);
+  EXPECT_EQ(st.cache_hit_suffix_tokens - before.cache_hit_suffix_tokens,
+            suffix_tokens);
+  EXPECT_EQ(st.cache_hit_suffix_tokens, 183);  // 13 + 49 + 81 + 40
+  EXPECT_EQ(st.cache_saved_tokens, 574);       // 47 + 48 + 49 + 430
+  EXPECT_EQ(st.cache_saved_tokens, saved_tokens);
+  // The plan runs over computed rows: hits count their suffixes only.
+  EXPECT_EQ(st.valid_tokens - before.valid_tokens, suffix_tokens + 75 + 33);
+  if (GetParam() == serving::BatchPolicy::kPacked) {
+    EXPECT_EQ(st.micro_batches - before.micro_batches, 1);
+    EXPECT_EQ(st.processed_tokens - before.processed_tokens,
+              st.valid_tokens - before.valid_tokens);
+  }
+
+  // The round refreshed every sessioned entry: each hit's next turn resumes
+  // from the state this round extended.
+  const cache::CacheStats cs = cache->stats();
+  EXPECT_EQ(cs.extends, 4);
+  EXPECT_EQ(cs.inserts, 5);  // four seeds + the sessioned miss
+  const auto extended = cache->probe(
+      cache::PrefixCache::session_key("tiny", "t49"),
+      make_history(140, hidden, 62).data(), 140);
+  ASSERT_NE(extended, nullptr);
+  EXPECT_EQ(extended->length, 130);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PrefixCacheEngine,
