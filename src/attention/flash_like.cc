@@ -7,8 +7,9 @@
 // only batch*heads CTAs exist, which underutilizes a wide machine when the
 // batch is small (the effect Fig. 13 measures; see also
 // costmodel/makespan.h for the A100-width projection). The online
-// softmax's exps run through the same vectorized exp_row primitive as the
-// fused kernels, so Fig. 13 compares scheduling, not exp implementations.
+// softmax's tile maxima and exps run through the same vectorized max_row /
+// exp_row primitives as the fused kernels, so Fig. 13 compares scheduling,
+// not softmax implementations.
 #include <cassert>
 #include <cmath>
 
@@ -103,8 +104,7 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
               if (k0 + j > q0 + i) srow[j] = -INFINITY;
             }
           }
-          float tile_max = srow[0];
-          for (int j = 1; j < kr; ++j) tile_max = std::max(tile_max, srow[j]);
+          const float tile_max = gemm::kernels::max_row(srow, kr);
           const float m_new = std::max(m_run[static_cast<std::size_t>(i)], tile_max);
           // exp_row maps -inf to exactly +0: the first tile's correction
           // (m_run = -inf) and the masked scores vanish without a branch.

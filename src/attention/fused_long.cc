@@ -13,10 +13,11 @@
 //   3. O_i = P_i V_i               where P is produced on the fly by the
 //      mainloop fusion exp(s - max) / sum applied as the second GEMM packs
 //      its A operand (Algorithm III.2).
-// The exps of steps 1-3 are vectorized: each runs as one dispatched
-// gemm::kernels::exp_row call per accumulator row (step 1), per row of
-// tile partials (step 2) and per widened A-panel row (step 3), so the
-// softmax costs little next to the two GEMMs, as the fusion intends.
+// The row maxima and exps of steps 1-3 are vectorized: each runs as one
+// dispatched gemm::kernels::max_row and/or exp_row call per accumulator row
+// (step 1), per row of tile partials (step 2) and per widened A-panel row
+// (step 3), so the softmax costs little next to the two GEMMs, as the
+// fusion intends.
 // Q/K/V are consumed directly from the packed token rows via leading-dim
 // strides; the context lands directly in packed rows too.
 #include <cassert>

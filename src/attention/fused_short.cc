@@ -153,14 +153,14 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     }
 
     // Softmax per query row: both reductions and the transform on data held
-    // locally (the register-file re-use of Algorithm III.1 lines 27-37), the
-    // exps and their sum in one vectorized exp_row pass.
+    // locally (the register-file re-use of Algorithm III.1 lines 27-37): the
+    // max in one vectorized max_row pass, the exps and their sum in one
+    // exp_row pass.
     for (int i = 0; i < rows; ++i) {
       const int row_len =
           args.causal ? std::min(len, q_begin + i + 1) : len;
       float* lrow = logits.data() + static_cast<std::int64_t>(i) * len;
-      float mx = lrow[0];
-      for (int j = 1; j < row_len; ++j) mx = std::max(mx, lrow[j]);
+      const float mx = gemm::kernels::max_row(lrow, row_len);
       const float sum = gemm::kernels::exp_row(lrow, mx, 1.0f, lrow, row_len);
       const float inv = 1.0f / sum;
       for (int j = 0; j < row_len; ++j) lrow[j] *= inv;

@@ -2,23 +2,26 @@
 //
 // These functors are the CPU analogues of the paper's CUTLASS
 // customizations:
-//   * BiasEpilogue / BiasGeluEpilogue      — Sec. III-C2 (Fig. 10)
+//   * BiasEpilogue / BiasGeluEpilogue      — Sec. III-C2 (Fig. 10): row
+//     epilogues (gemm/microkernel.h's on_row hook) rewriting each FP32
+//     accumulator row before it is narrowed
 //   * SoftmaxPartialReduceEpilogue          — Fig. 8 (epilogue reduction of
 //     per-tile max and sum-of-exp for the first grouped GEMM of fused MHA)
 //   * SoftmaxNormalizeATransform            — Algorithm III.2 (mainloop
 //     fusion: A-operand elements become exp(a - max)/sum on load in the
 //     second grouped GEMM)
 //
-// Every exp of the softmax fusions (and of softmax_full_reduce) runs as one
-// dispatched kernels::exp_row call per accumulator row, panel row or
-// partial-statistics row: the vectorized exp of gemm/kernels/kernel.h,
-// selected with the GEMM microkernel (BT_GEMM_KERNEL).
+// The row work runs through the dispatched primitives of
+// gemm/kernels/kernel.h, selected with the GEMM microkernel
+// (BT_GEMM_KERNEL): bias+GELU is one kernels::bias_gelu_row call per
+// accumulator row, and every softmax row (accumulator row, panel row or
+// partial-statistics row) is one kernels::max_row and/or kernels::exp_row
+// call.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/half.h"
 #include "common/numeric.h"
@@ -31,9 +34,11 @@ namespace bt::gemm {
 template <typename TBias>
 struct BiasEpilogue {
   const TBias* bias = nullptr;
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t col,
-                   float v) const noexcept {
-    return v + load_f32(bias[col]);
+  void on_row(int /*problem*/, std::int64_t /*row*/, std::int64_t col0,
+              float* values, int n) const noexcept {
+    float wide[TileShape::kN];
+    convert_row_f32(bias + col0, wide, n);
+    for (int j = 0; j < n; ++j) values[j] += wide[j];
   }
 };
 
@@ -41,9 +46,9 @@ struct BiasEpilogue {
 template <typename TBias>
 struct BiasGeluEpilogue {
   const TBias* bias = nullptr;
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t col,
-                   float v) const noexcept {
-    return gelu_tanh(v + load_f32(bias[col]));
+  void on_row(int /*problem*/, std::int64_t /*row*/, std::int64_t col0,
+              float* values, int n) const noexcept {
+    kernels::bias_gelu_row(values, bias + col0, values, n);
   }
 };
 
@@ -58,16 +63,11 @@ struct SoftmaxPartials {
 };
 
 // Epilogue hook computing the per-tile reduction while the scaled scores are
-// still in the accumulator. Values are stored unchanged (the normalization
-// happens later, fused into the second GEMM's mainloop).
+// still in the accumulator. It has no row hook, so values are stored
+// unchanged (the normalization happens later, fused into the second GEMM's
+// mainloop).
 struct SoftmaxPartialReduceEpilogue {
-  static constexpr bool kStoresUnchanged = true;
   std::span<SoftmaxPartials> partials;
-
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
-                   float v) const noexcept {
-    return v;
-  }
 
   void on_tile(int problem, std::int64_t row0, std::int64_t col0, int rows,
                int cols, const float* acc, int ld) const noexcept {
@@ -76,8 +76,7 @@ struct SoftmaxPartialReduceEpilogue {
     float exps[TileShape::kN];  // only the sum is kept
     for (int i = 0; i < rows; ++i) {
       const float* acc_row = acc + static_cast<std::int64_t>(i) * ld;
-      float mx = acc_row[0];
-      for (int j = 1; j < cols; ++j) mx = std::max(mx, acc_row[j]);
+      const float mx = kernels::max_row(acc_row, cols);
       const float sum = kernels::exp_row(acc_row, mx, 1.0f, exps, cols);
       const std::int64_t idx = (row0 + i) * p.col_tiles + col_tile;
       p.partial_max[idx] = mx;
@@ -112,21 +111,20 @@ struct SoftmaxNormalizeATransform {
 inline void softmax_full_reduce(const SoftmaxPartials& p,
                                 std::int64_t valid_cols_tiles, float* row_max,
                                 float* row_inv_sum) {
+  const int tiles = static_cast<int>(valid_cols_tiles);
   // rescale[t] = exp(pm[t] - gmax): the factor moving tile t's partial sum
-  // onto the row maximum.
-  std::vector<float> rescale(static_cast<std::size_t>(valid_cols_tiles));
+  // onto the row maximum, computed kChunk tiles (4096 columns) at a time.
+  constexpr int kChunk = 64;
+  float rescale[kChunk];
   for (std::int64_t r = 0; r < p.rows; ++r) {
     const float* pm = p.partial_max + r * p.col_tiles;
     const float* ps = p.partial_sum + r * p.col_tiles;
-    float gmax = pm[0];
-    for (std::int64_t t = 1; t < valid_cols_tiles; ++t) {
-      gmax = std::max(gmax, pm[t]);
-    }
-    kernels::exp_row(pm, gmax, 1.0f, rescale.data(),
-                     static_cast<int>(valid_cols_tiles));
+    const float gmax = kernels::max_row(pm, tiles);
     float gsum = 0.0f;
-    for (std::int64_t t = 0; t < valid_cols_tiles; ++t) {
-      gsum += ps[t] * rescale[static_cast<std::size_t>(t)];
+    for (int t0 = 0; t0 < tiles; t0 += kChunk) {
+      const int n = std::min(kChunk, tiles - t0);
+      kernels::exp_row(pm + t0, gmax, 1.0f, rescale, n);
+      for (int t = 0; t < n; ++t) gsum += ps[t0 + t] * rescale[t];
     }
     row_max[r] = gmax;
     row_inv_sum[r] = gsum > 0.0f ? 1.0f / gsum : 0.0f;

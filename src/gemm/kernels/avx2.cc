@@ -14,7 +14,8 @@
 // exp_row_avx2 evaluates gemm/kernels/exp_lane.h eight lanes per ymm with
 // the same explicit FMA chain and integer exponent scaling, so it matches
 // the scalar and vec variants bit for bit; the n % 8 tail runs the shared
-// scalar lane.
+// scalar lane. max_row_avx2 and bias_gelu_row_avx2 likewise spell the
+// lanes of gemm/kernels/row_lane.h eight wide.
 //
 // CMake compiles this file with -mavx2 -mfma -mf16c when the compiler
 // supports them (independent of BT_NATIVE_ARCH, so portable builds still
@@ -30,6 +31,7 @@
 #include <immintrin.h>
 
 #include "gemm/kernels/exp_lane.h"
+#include "gemm/kernels/row_lane.h"
 
 namespace bt::gemm::kernels {
 
@@ -131,6 +133,56 @@ float exp_row_avx2(const float* src, float sub, float mul, float* dst,
   return sum_lanes(lanes);
 }
 
+float max_row_avx2(const float* src, int n) {
+  __m256 m = _mm256_set1_ps(detail::kMaxInit);
+  int j = 0;
+  // max_ps(x, m) is x > m ? x : m: detail::max_lane, NaN x skipped.
+  for (; j + 8 <= n; j += 8) m = _mm256_max_ps(_mm256_loadu_ps(src + j), m);
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, m);
+  detail::max_row_tail(src, j, n, lanes);
+  return detail::max_lanes(lanes);
+}
+
+void bias_gelu_row_avx2(const float* src, const float* bias, float* dst,
+                        int n) {
+  // common/numeric.h's gelu_tanh and fast_tanh, eight lanes wide. The clamp
+  // selections match the scalar ternaries: max_ps(-c, x) is -c > x ? -c : x
+  // and min_ps(c, x) is c < x ? c : x, so a NaN x passes through.
+  const __m256 neg_clamp = _mm256_set1_ps(-kTanhClamp);
+  const __m256 clamp = _mm256_set1_ps(kTanhClamp);
+  const __m256 p2 = _mm256_set1_ps(kTanhP2);
+  const __m256 p1 = _mm256_set1_ps(kTanhP1);
+  const __m256 p0 = _mm256_set1_ps(kTanhP0);
+  const __m256 q3 = _mm256_set1_ps(kTanhQ3);
+  const __m256 q2 = _mm256_set1_ps(kTanhQ2);
+  const __m256 q1 = _mm256_set1_ps(kTanhQ1);
+  const __m256 q0 = _mm256_set1_ps(kTanhQ0);
+  const __m256 coef = _mm256_set1_ps(kGeluCoef);
+  const __m256 sqrt2_over_pi = _mm256_set1_ps(kGeluSqrt2OverPi);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 x =
+        _mm256_add_ps(_mm256_loadu_ps(src + j), _mm256_loadu_ps(bias + j));
+    const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+    __m256 u = _mm256_mul_ps(sqrt2_over_pi, _mm256_fmadd_ps(coef, x3, x));
+    u = _mm256_max_ps(neg_clamp, u);
+    u = _mm256_min_ps(clamp, u);
+    const __m256 u2 = _mm256_mul_ps(u, u);
+    __m256 p = _mm256_fmadd_ps(u, u, p2);
+    p = _mm256_fmadd_ps(p, u2, p1);
+    p = _mm256_fmadd_ps(p, u2, p0);
+    __m256 q = _mm256_fmadd_ps(u2, q3, q2);
+    q = _mm256_fmadd_ps(q, u2, q1);
+    q = _mm256_fmadd_ps(q, u2, q0);
+    const __m256 th = _mm256_div_ps(_mm256_mul_ps(u, p), q);
+    const __m256 half_x = _mm256_mul_ps(half, x);
+    _mm256_storeu_ps(dst + j, _mm256_fmadd_ps(half_x, th, half_x));
+  }
+  detail::bias_gelu_row_tail(src, bias, dst, j, n);
+}
+
 namespace detail {
 bool avx2_kernel_compiled() noexcept { return true; }
 }  // namespace detail
@@ -149,6 +201,13 @@ void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
 float exp_row_avx2(const float* src, float sub, float mul, float* dst,
                    int n) {
   return exp_row_vec(src, sub, mul, dst, n);
+}
+
+float max_row_avx2(const float* src, int n) { return max_row_vec(src, n); }
+
+void bias_gelu_row_avx2(const float* src, const float* bias, float* dst,
+                        int n) {
+  bias_gelu_row_vec(src, bias, dst, n);
 }
 
 namespace detail {

@@ -4,9 +4,12 @@
 // pointers so each hot-path dispatch is a single relaxed load.
 #include "gemm/kernels/kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/half.h"
 
 namespace bt::gemm::kernels {
 
@@ -51,11 +54,16 @@ struct State {
   std::atomic<Kind> kind;
   std::atomic<TileMultiplyFn> fn;
   std::atomic<ExpRowFn> exp_row;
+  std::atomic<MaxRowFn> max_row;
+  std::atomic<BiasGeluRowFn> bias_gelu_row;
   State() { set(initial_kind()); }
   void set(Kind k) noexcept {
     kind.store(k, std::memory_order_relaxed);
     fn.store(kernels::fn(k), std::memory_order_relaxed);
     exp_row.store(kernels::exp_row_fn(k), std::memory_order_relaxed);
+    max_row.store(kernels::max_row_fn(k), std::memory_order_relaxed);
+    bias_gelu_row.store(kernels::bias_gelu_row_fn(k),
+                        std::memory_order_relaxed);
   }
 };
 
@@ -117,6 +125,24 @@ ExpRowFn exp_row_fn(Kind kind) noexcept {
   return &exp_row_scalar;
 }
 
+MaxRowFn max_row_fn(Kind kind) noexcept {
+  switch (kind) {
+    case Kind::kScalar: return &max_row_scalar;
+    case Kind::kVec: return &max_row_vec;
+    case Kind::kAvx2: return &max_row_avx2;
+  }
+  return &max_row_scalar;
+}
+
+BiasGeluRowFn bias_gelu_row_fn(Kind kind) noexcept {
+  switch (kind) {
+    case Kind::kScalar: return &bias_gelu_row_scalar;
+    case Kind::kVec: return &bias_gelu_row_vec;
+    case Kind::kAvx2: return &bias_gelu_row_avx2;
+  }
+  return &bias_gelu_row_scalar;
+}
+
 Kind active() noexcept { return state().kind.load(std::memory_order_relaxed); }
 
 bool force(Kind kind) noexcept {
@@ -132,6 +158,25 @@ void tile_multiply(const float* panel_a, int mc, const float* panel_b, int kc,
 
 float exp_row(const float* src, float sub, float mul, float* dst, int n) {
   return state().exp_row.load(std::memory_order_relaxed)(src, sub, mul, dst, n);
+}
+
+float max_row(const float* src, int n) {
+  return state().max_row.load(std::memory_order_relaxed)(src, n);
+}
+
+void bias_gelu_row(const float* src, const float* bias, float* dst, int n) {
+  state().bias_gelu_row.load(std::memory_order_relaxed)(src, bias, dst, n);
+}
+
+void bias_gelu_row(const float* src, const fp16_t* bias, float* dst, int n) {
+  const BiasGeluRowFn run =
+      state().bias_gelu_row.load(std::memory_order_relaxed);
+  float wide[kPanelN];
+  for (int j0 = 0; j0 < n; j0 += kPanelN) {
+    const int len = std::min(kPanelN, n - j0);
+    convert_row_f32(bias + j0, wide, len);
+    run(src + j0, wide, dst + j0, len);
+  }
 }
 
 }  // namespace bt::gemm::kernels

@@ -1,6 +1,6 @@
 // Runtime-dispatched kernel primitives.
 //
-// Two primitives carry the hot loops of the pipeline:
+// Four primitives carry the hot loops of the pipeline:
 //
 //   * tile_multiply — the blocked mainloop (gemm/microkernel.h) funnels
 //     every GEMM FLOP through
@@ -11,7 +11,11 @@
 //   * exp_row — dst[j] = exp(src[j] - sub) * mul, returning the sum of the
 //     exps: every softmax of the attention kernels (the fused-long epilogue
 //     and mainloop fusions, the short kernel, flash, the padded baselines)
-//     runs through it.
+//     runs through it;
+//   * max_row — the row maximum taken ahead of each of those exp_row calls;
+//   * bias_gelu_row — dst[j] = gelu_tanh(src[j] + bias[j]): the GEMM2
+//     bias+GELU row epilogue (gemm/epilogues.h) and the standalone unfused
+//     kernel (kernels/activation.cc) both run it.
 //
 // Each primitive has three interchangeable implementations:
 //
@@ -23,15 +27,20 @@
 //
 // The active kernel is selected once at startup: BT_GEMM_KERNEL=scalar|vec|
 // avx2 overrides, otherwise cpuid-style detection picks the best supported
-// variant, for both primitives at once. All three tile_multiply variants
+// variant, for all primitives at once. All three tile_multiply variants
 // accumulate each output element over p in ascending order, so — provided
 // FMA contraction is uniform across the build (see BT_NATIVE_ARCH in
 // CMakeLists.txt) — they are bitwise interchangeable and A/B benchmarking
-// never changes results. The exp_row variants are bitwise interchangeable
-// in every build: they use explicit FMAs only (see gemm/kernels/exp_lane.h).
+// never changes results. The exp_row, max_row and bias_gelu_row variants
+// are bitwise interchangeable in every build: they use explicit FMAs only
+// (see gemm/kernels/exp_lane.h and gemm/kernels/row_lane.h).
 #pragma once
 
 #include <string_view>
+
+namespace bt {
+class fp16_t;
+}  // namespace bt
 
 namespace bt::gemm::kernels {
 
@@ -54,8 +63,21 @@ using TileMultiplyFn = void (*)(const float* panel_a, int mc,
 using ExpRowFn = float (*)(const float* src, float sub, float mul, float* dst,
                            int n);
 
-// The three implementations. tile_multiply_avx2 falls back to the vec
-// kernel when the toolchain could not build AVX2 code (it is then never
+// Maximum of src[0, n), folded in 8 lane maxima (element j into lane j % 8)
+// that are combined in one fixed order. On a row without NaNs the result
+// compares equal to the std::max fold (a zero maximum may differ from it in
+// sign). NaN elements are skipped: the result is the maximum of the non-NaN
+// elements, -inf when there are none (or n == 0) — as for an all -inf row,
+// a fully masked causal tile.
+using MaxRowFn = float (*)(const float* src, int n);
+
+// dst[j] = gelu_tanh(src[j] + bias[j]) for j < n, bitwise the scalar
+// common/numeric.h gelu_tanh of each element. dst may alias src.
+using BiasGeluRowFn = void (*)(const float* src, const float* bias,
+                               float* dst, int n);
+
+// The three implementations. The *_avx2 functions fall back to the vec
+// kernels when the toolchain could not build AVX2 code (kAvx2 is then never
 // selected by dispatch — supported(kAvx2) reports false).
 void tile_multiply_scalar(const float* panel_a, int mc, const float* panel_b,
                           int kc, float* acc);
@@ -67,6 +89,16 @@ void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
 float exp_row_scalar(const float* src, float sub, float mul, float* dst, int n);
 float exp_row_vec(const float* src, float sub, float mul, float* dst, int n);
 float exp_row_avx2(const float* src, float sub, float mul, float* dst, int n);
+
+float max_row_scalar(const float* src, int n);
+float max_row_vec(const float* src, int n);
+float max_row_avx2(const float* src, int n);
+
+void bias_gelu_row_scalar(const float* src, const float* bias, float* dst,
+                          int n);
+void bias_gelu_row_vec(const float* src, const float* bias, float* dst, int n);
+void bias_gelu_row_avx2(const float* src, const float* bias, float* dst,
+                        int n);
 
 const char* name(Kind kind) noexcept;
 
@@ -89,11 +121,19 @@ bool force(Kind kind) noexcept;
 // Implementation functions for a kind (for direct calls in tests).
 TileMultiplyFn fn(Kind kind) noexcept;
 ExpRowFn exp_row_fn(Kind kind) noexcept;
+MaxRowFn max_row_fn(Kind kind) noexcept;
+BiasGeluRowFn bias_gelu_row_fn(Kind kind) noexcept;
 
 // Dispatch to the active kernel.
 void tile_multiply(const float* panel_a, int mc, const float* panel_b, int kc,
                    float* acc);
 float exp_row(const float* src, float sub, float mul, float* dst, int n);
+float max_row(const float* src, int n);
+void bias_gelu_row(const float* src, const float* bias, float* dst, int n);
+// FP16 bias: each kPanelN-wide chunk is widened once into a stack buffer,
+// then run through the FP32-bias kernel (widening is exact, so the result
+// is the FP32 kernel's on the widened bias).
+void bias_gelu_row(const float* src, const fp16_t* bias, float* dst, int n);
 
 namespace detail {
 // Whether avx2.cc was actually built with AVX2+FMA (CMake probes the flags;

@@ -2,10 +2,12 @@
 // kept verbatim as the dispatch floor and the A/B reference for the SIMD
 // variants. The j loop runs at the full padded width so the compiler can
 // still auto-vectorize with whatever ISA the build enables. The scalar
-// exp_row is the shared lane loop of gemm/kernels/exp_lane.h, run over the
-// whole row.
+// exp_row, max_row and bias_gelu_row are the shared lane loops of
+// gemm/kernels/exp_lane.h and gemm/kernels/row_lane.h, run over the whole
+// row.
 #include "gemm/kernels/kernel.h"
 #include "gemm/kernels/exp_lane.h"
+#include "gemm/kernels/row_lane.h"
 
 #include <cstdint>
 
@@ -31,6 +33,18 @@ float exp_row_scalar(const float* src, float sub, float mul, float* dst,
   float lanes[8] = {};
   detail::exp_row_tail(src, sub, mul, dst, 0, n, lanes);
   return detail::sum_lanes(lanes);
+}
+
+float max_row_scalar(const float* src, int n) {
+  float lanes[8];
+  for (float& m : lanes) m = detail::kMaxInit;
+  detail::max_row_tail(src, 0, n, lanes);
+  return detail::max_lanes(lanes);
+}
+
+void bias_gelu_row_scalar(const float* src, const float* bias, float* dst,
+                          int n) {
+  detail::bias_gelu_row_tail(src, bias, dst, 0, n);
 }
 
 }  // namespace bt::gemm::kernels

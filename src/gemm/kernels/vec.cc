@@ -10,9 +10,11 @@
 // FMAs are spelled per lane (__builtin_fmaf) — generic vectors have no fma
 // operator — which the compiler turns into vector FMAs when the build
 // enables them and into fmaf calls otherwise; either way the result is the
-// scalar lane's, bit for bit.
+// scalar lane's, bit for bit. max_row_vec and bias_gelu_row_vec do the same
+// for the lanes of gemm/kernels/row_lane.h.
 #include "gemm/kernels/kernel.h"
 #include "gemm/kernels/exp_lane.h"
+#include "gemm/kernels/row_lane.h"
 
 #include <bit>
 #include <cstdint>
@@ -69,6 +71,28 @@ inline vf8 exp8(vf8 x) noexcept {
   return e;
 }
 
+// common/numeric.h's fast_tanh, eight lanes wide.
+inline vf8 tanh8(vf8 x) noexcept {
+  x = select8((vu8)(x < -kTanhClamp), vf8{} - kTanhClamp, x);
+  x = select8((vu8)(x > kTanhClamp), vf8{} + kTanhClamp, x);
+  const vf8 x2 = x * x;
+  vf8 p = fma8(x, x, vf8{} + kTanhP2);
+  p = fma8(p, x2, vf8{} + kTanhP1);
+  p = fma8(p, x2, vf8{} + kTanhP0);
+  vf8 q = fma8(x2, vf8{} + kTanhQ3, vf8{} + kTanhQ2);
+  q = fma8(q, x2, vf8{} + kTanhQ1);
+  q = fma8(q, x2, vf8{} + kTanhQ0);
+  return (x * p) / q;
+}
+
+// common/numeric.h's gelu_tanh, eight lanes wide.
+inline vf8 gelu8(vf8 x) noexcept {
+  const vf8 x3 = (x * x) * x;
+  const vf8 th = tanh8(kGeluSqrt2OverPi * fma8(vf8{} + kGeluCoef, x3, x));
+  const vf8 half_x = 0.5f * x;
+  return fma8(half_x, th, half_x);
+}
+
 }  // namespace
 
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
@@ -122,6 +146,28 @@ float exp_row_vec(const float* src, float sub, float mul, float* dst, int n) {
   return detail::sum_lanes(lanes);
 }
 
+float max_row_vec(const float* src, int n) {
+  vf8 m = vf8{} + detail::kMaxInit;
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const vf8 x = load8(src + j);
+    m = select8((vu8)(x > m), x, m);
+  }
+  float lanes[8];
+  store8(lanes, m);
+  detail::max_row_tail(src, j, n, lanes);
+  return detail::max_lanes(lanes);
+}
+
+void bias_gelu_row_vec(const float* src, const float* bias, float* dst,
+                       int n) {
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    store8(dst + j, gelu8(load8(src + j) + load8(bias + j)));
+  }
+  detail::bias_gelu_row_tail(src, bias, dst, j, n);
+}
+
 #else  // no vector extensions: alias the scalar kernel
 
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
@@ -131,6 +177,13 @@ void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
 
 float exp_row_vec(const float* src, float sub, float mul, float* dst, int n) {
   return exp_row_scalar(src, sub, mul, dst, n);
+}
+
+float max_row_vec(const float* src, int n) { return max_row_scalar(src, n); }
+
+void bias_gelu_row_vec(const float* src, const float* bias, float* dst,
+                       int n) {
+  bias_gelu_row_scalar(src, bias, dst, n);
 }
 
 #endif

@@ -7,9 +7,11 @@
 //     fuses the softmax normalization exp(x-max)/sum into the second grouped
 //     GEMM's operand load (paper Algorithm III.2); here the hook sees each
 //     widened FP32 panel row whole, so it can run one vectorized pass,
-//   * the accumulator tile is the *epilogue fusion* hook — bias+GELU and the
-//     softmax partial reduction run on the FP32 accumulator before it is
-//     stored (paper Sec. III-C2 / Fig. 8).
+//   * the accumulator is the *epilogue fusion* hook, at two grains: a tile
+//     hook sees the whole FP32 tile (the softmax partial reduction, paper
+//     Fig. 8) and a row hook rewrites each accumulator row in place before
+//     it is narrowed (bias and bias+GELU, Sec. III-C2) — one dispatched
+//     vectorized pass per row, as the mainloop hook is per panel row.
 //
 // The inner product itself lives in gemm/kernels/ (runtime-dispatched
 // scalar / generic-vector / AVX2 microkernels); this header owns packing,
@@ -50,22 +52,25 @@ struct IdentityATransform {
                   int /*kc*/) const noexcept {}
 };
 
-// Epilogues that store the accumulator unchanged declare kStoresUnchanged;
-// the store loop then narrows whole rows (F16C-vectorized for FP16) instead
-// of calling the per-element hook.
-struct IdentityEpilogue {
-  static constexpr bool kStoresUnchanged = true;
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
-                   float v) const noexcept {
-    return v;
-  }
+// The store path is one row loop: an optional row hook rewrites the
+// alpha-scaled FP32 accumulator row in place, beta * C is added over the
+// whole row when beta != 0, and convert_row_from_f32 narrows the row
+// (F16C-vectorized for FP16). An epilogue without a row hook —
+// IdentityEpilogue, the softmax partial reduction — stores the accumulator
+// unchanged.
+struct IdentityEpilogue {};
+
+// Row hook: rewrites values[0, n), the accumulator row of output row `row`
+// at output columns [col0, col0 + n), n <= TileShape::kN. Used by the fused
+// bias and bias+GELU epilogues (gemm/epilogues.h).
+template <typename E>
+concept HasRowHook = requires(const E e, int p, std::int64_t row,
+                              std::int64_t col0, float* values, int n) {
+  e.on_row(p, row, col0, values, n);
 };
 
-template <typename E>
-concept StoresUnchanged = E::kStoresUnchanged;
-
-// Epilogues may additionally expose a whole-tile hook, called on the scaled
-// FP32 accumulator before values are transformed/stored. Used by the fused
+// Epilogues may instead (or also) expose a whole-tile hook, called on the
+// scaled FP32 accumulator before the rows are stored. Used by the fused
 // softmax partial reduction.
 template <typename E>
 concept HasTileHook = requires(E e, int p, std::int64_t r0, std::int64_t c0,
@@ -169,24 +174,17 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
   }
 
   for (int i = 0; i < mc; ++i) {
-    const float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
+    float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
     TC* c_row = c + (row0 + i) * ldc + col0;
-    if constexpr (StoresUnchanged<Epilogue>) {
-      if (beta == 0.0f) {
-        convert_row_from_f32(acc_row, c_row, nc);
-        continue;
-      }
+    if constexpr (HasRowHook<Epilogue>) {
+      ep.on_row(problem, row0 + i, col0, acc_row, nc);
     }
-    if (beta == 0.0f) {
-      for (int j = 0; j < nc; ++j) {
-        store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]));
-      }
-    } else {
-      for (int j = 0; j < nc; ++j) {
-        store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]) +
-                                beta * load_f32(c_row[j]));
-      }
+    if (beta != 0.0f) {
+      float prior[TileShape::kN];
+      convert_row_f32(c_row, prior, nc);
+      for (int j = 0; j < nc; ++j) acc_row[j] += beta * prior[j];
     }
+    convert_row_from_f32(acc_row, c_row, nc);
   }
 }
 

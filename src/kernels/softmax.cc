@@ -24,10 +24,10 @@ void load_masked(const T* row, int j0, int n, int len, float* buf) {
 }
 
 // Softmax of row[0, cols) in place, masking columns >= len: a max pass, a
-// pass summing the exps, and a pass storing exp * (1 / sum) — the exps of
-// both run through the same vectorized exp_row primitive as the fused
-// kernels, so the padded baselines and the fused paths differ only in
-// traversal and fusion.
+// pass summing the exps, and a pass storing exp * (1 / sum) — the max and
+// the exps run through the same vectorized max_row / exp_row primitives as
+// the fused kernels, so the padded baselines and the fused paths differ
+// only in traversal and fusion.
 template <typename T>
 void softmax_row(T* row, int cols, int len) {
   float buf[kChunk];
@@ -35,7 +35,7 @@ void softmax_row(T* row, int cols, int len) {
   for (int j0 = 0; j0 < cols; j0 += kChunk) {
     const int n = std::min(kChunk, cols - j0);
     load_masked(row, j0, n, len, buf);
-    for (int j = 0; j < n; ++j) mx = std::max(mx, buf[j]);
+    mx = std::max(mx, gemm::kernels::max_row(buf, n));
   }
   float sum = 0.0f;
   for (int j0 = 0; j0 < cols; j0 += kChunk) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,6 +69,56 @@ TEST(Epilogue, BiasGeluMatchesSeparateKernels) {
   // k = 96 unit-variance inputs the pre-activation reaches |v| ~ 40 where
   // the FP16 ulp is 0.03125 — that one rounding step is the allowed gap.
   EXPECT_LT(max_abs_diff(fused, unfused), 5e-2);
+
+  // With an FP32 output there is no rounding step between the GEMM and the
+  // GELU, and both paths run the one dispatched bias_gelu_row: bitwise.
+  auto bias32 = Tensor<float>::zeros({n});
+  for (int j = 0; j < n; ++j) bias32(j) = load_f32(bias(j));
+  auto fused32 = Tensor<float>::zeros({m, n});
+  const BiasGeluEpilogue<float> ep32{bias32.data()};
+  gemm<fp16_t, fp16_t, float, IdentityATransform, BiasGeluEpilogue<float>>(
+      dev(), Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n,
+      0.0f, fused32.data(), n, ep32);
+  auto unfused32 = Tensor<float>::zeros({m, n});
+  gemm<fp16_t, fp16_t, float>(dev(), Trans::N, Trans::N, m, n, k, 1.0f,
+                              a.data(), k, b.data(), n, 0.0f,
+                              unfused32.data(), n);
+  bt::kernels::add_bias_gelu(dev(), unfused32.data(), bias32.data(), m, n);
+  EXPECT_EQ(std::memcmp(fused32.data(), unfused32.data(),
+                        sizeof(float) * static_cast<std::size_t>(m) * n),
+            0);
+}
+
+// A row epilogue sees every output row once per column tile, with the
+// tile's first output column and width; beta * C is added after the hook.
+struct RecordingRowEpilogue {
+  void on_row(int problem, std::int64_t row, std::int64_t col0, float* values,
+              int n) const noexcept {
+    for (int j = 0; j < n; ++j) {
+      values[j] = static_cast<float>(problem + 1000 * row + col0 + j);
+    }
+  }
+};
+
+TEST(Epilogue, RowHookCoversEachOutputRowSegment) {
+  const int m = 70;
+  const int n = 130;  // column tiles of 64, 64, 2
+  const int k = 8;
+  auto a = Tensor<float>::zeros({m, k});
+  auto b = Tensor<float>::zeros({k, n});
+  auto c = Tensor<float>::zeros({m, n});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) c(i, j) = 0.5f;
+  }
+  gemm<float, float, float, IdentityATransform, RecordingRowEpilogue>(
+      dev(), Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n,
+      2.0f, c.data(), n, RecordingRowEpilogue{});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      ASSERT_EQ(c(i, j), static_cast<float>(1000 * i + j) + 1.0f)
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(Epilogue, SoftmaxPartialReductionIsExactPerTile) {

@@ -7,9 +7,14 @@
 //   * PackedB panel layout vs pack_b_panel,
 //   * the exp_row primitive: forced variants bitwise identical (any build),
 //     within 1 ulp of the correctly rounded exp, exact special values,
+//   * the max_row and bias_gelu_row primitives: forced variants bitwise
+//     identical (any build), max_row equal to the std::max fold with its NaN
+//     contract, bias_gelu_row bitwise the scalar gelu_tanh and close to the
+//     FP64 erf GELU,
 //   * dispatch / BT_GEMM_KERNEL parsing and force() fallback behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/numeric.h"
 #include "common/rng.h"
 #include "gemm/batched.h"
 #include "gemm/gemm.h"
@@ -309,6 +315,169 @@ TEST(ExpRow, SpecialValuesAreExact) {
                                               out.data(), n)));
       for (float v : out) EXPECT_TRUE(std::isnan(v)) << kernels::name(kind);
     }
+  }
+}
+
+// Like exp_row, max_row and bias_gelu_row use explicit FMAs only, so their
+// variants agree bitwise in every build. Lengths 1..200 cover every tail
+// behind 0..24 full vectors; bias_gelu_row also runs in place (the epilogue
+// calling convention) and with an FP16 bias.
+TEST(BiasGeluRow, ForcedVariantsAgreeBitwise) {
+  KernelGuard guard;
+  Rng rng(37);
+  std::vector<float> src(200);
+  std::vector<float> bias(200);
+  std::vector<fp16_t> bias16(200);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    // Mostly the active range, with saturated and signed-zero lanes.
+    src[i] = i % 13 == 4 ? 40.0f * rng.normal()
+             : i % 29 == 7 ? -0.0f
+                           : 3.0f * rng.normal();
+    bias[i] = 0.5f * rng.normal();
+    bias16[i] = fp16_t(rng.normal());
+  }
+  for (int n = 1; n <= 200; ++n) {
+    const auto count = static_cast<std::size_t>(n);
+    std::vector<float> want(count);
+    std::vector<float> want16(count);
+    ASSERT_TRUE(kernels::force(kernels::Kind::kScalar));
+    kernels::bias_gelu_row(src.data(), bias.data(), want.data(), n);
+    kernels::bias_gelu_row(src.data(), bias16.data(), want16.data(), n);
+    for (std::size_t j = 0; j < count; ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(want[j]),
+                std::bit_cast<std::uint32_t>(gelu_tanh(src[j] + bias[j])))
+          << "scalar kernel vs gelu_tanh at " << j;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(want16[j]),
+                std::bit_cast<std::uint32_t>(
+                    gelu_tanh(src[j] + static_cast<float>(bias16[j]))))
+          << "FP16 bias vs gelu_tanh at " << j;
+    }
+    for (auto kind : supported_kinds()) {
+      ASSERT_TRUE(kernels::force(kind));
+      std::vector<float> got(count);
+      kernels::bias_gelu_row(src.data(), bias.data(), got.data(), n);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0)
+          << kernels::name(kind) << " n=" << n;
+      std::vector<float> in_place(src.begin(), src.begin() + n);
+      kernels::bias_gelu_row(in_place.data(), bias.data(), in_place.data(), n);
+      ASSERT_EQ(
+          std::memcmp(in_place.data(), want.data(), count * sizeof(float)), 0)
+          << kernels::name(kind) << " in place, n=" << n;
+      std::vector<float> in_place16(src.begin(), src.begin() + n);
+      kernels::bias_gelu_row(in_place16.data(), bias16.data(),
+                             in_place16.data(), n);
+      ASSERT_EQ(std::memcmp(in_place16.data(), want16.data(),
+                            count * sizeof(float)),
+                0)
+          << kernels::name(kind) << " FP16 bias in place, n=" << n;
+    }
+  }
+}
+
+// The tolerance of Numeric.GeluTanhMatchesErfClosely against the FP64 erf
+// GELU, over [-10, 10]: the active range and both saturated tails.
+TEST(BiasGeluRow, WithinGeluTanhToleranceOfErfGelu) {
+  KernelGuard guard;
+  std::vector<float> src;
+  for (int i = -10000; i <= 10000; ++i) src.push_back(0.001f * i);
+  const int n = static_cast<int>(src.size());
+  // Split each x into src + bias so the add is exercised too.
+  std::vector<float> part(src.size());
+  std::vector<float> bias(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    bias[i] = i % 2 == 0 ? 0.0f : 0.25f;
+    part[i] = src[i] - bias[i];
+  }
+  for (auto kind : supported_kinds()) {
+    ASSERT_TRUE(kernels::force(kind));
+    std::vector<float> got(src.size());
+    kernels::bias_gelu_row(part.data(), bias.data(), got.data(), n);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const double x = static_cast<double>(part[i]) + bias[i];
+      ASSERT_NEAR(got[i], gelu_erf(x), 3e-3)
+          << kernels::name(kind) << " x=" << x;
+    }
+  }
+}
+
+TEST(MaxRow, ForcedVariantsAgreeBitwise) {
+  KernelGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(41);
+  std::vector<float> src(200);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = i % 17 == 5 ? -inf : i % 23 == 3 ? -0.0f : 12.0f * rng.normal();
+  }
+  // Zero rows of mixed sign: which zero survives is fixed by the lane order.
+  std::vector<float> zeros(200);
+  for (std::size_t i = 0; i < zeros.size(); ++i) {
+    zeros[i] = i % 3 == 1 ? -0.0f : 0.0f;
+  }
+  for (const std::vector<float>* row : {&src, &zeros}) {
+    for (int n = 1; n <= 200; ++n) {
+      ASSERT_TRUE(kernels::force(kernels::Kind::kScalar));
+      const float want = kernels::max_row(row->data(), n);
+      for (auto kind : supported_kinds()) {
+        ASSERT_TRUE(kernels::force(kind));
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(kernels::max_row(row->data(), n)),
+                  std::bit_cast<std::uint32_t>(want))
+            << kernels::name(kind) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(MaxRow, EqualsStdMaxFoldAndSkipsNaN) {
+  KernelGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(43);
+  auto fold = [](const std::vector<float>& row) {
+    float mx = row[0];
+    for (std::size_t j = 1; j < row.size(); ++j) mx = std::max(mx, row[j]);
+    return mx;
+  };
+  std::vector<std::vector<float>> rows;
+  for (int n : {1, 7, 8, 9, 64, 65, 130}) {
+    std::vector<float> row(static_cast<std::size_t>(n));
+    for (float& v : row) v = 5.0f * rng.normal();
+    rows.push_back(row);
+    // The maximum in the scalar tail, then in a full vector.
+    row.back() = 100.0f;
+    rows.push_back(row);
+    row.front() = 200.0f;
+    rows.push_back(row);
+    // Negative rows with signed zeros, +inf, and the causal flash mask.
+    std::vector<float> neg(row.size());
+    for (std::size_t j = 0; j < neg.size(); ++j) {
+      neg[j] = j % 4 == 1 ? -0.0f : j % 4 == 3 ? 0.0f : -std::abs(row[j]);
+    }
+    rows.push_back(neg);
+    neg[neg.size() / 2] = inf;
+    rows.push_back(neg);
+    rows.push_back(std::vector<float>(row.size(), -inf));
+    rows.push_back(std::vector<float>(row.size(), -0.0f));
+  }
+  for (auto kind : supported_kinds()) {
+    ASSERT_TRUE(kernels::force(kind));
+    for (const auto& row : rows) {
+      const float got =
+          kernels::max_row(row.data(), static_cast<int>(row.size()));
+      EXPECT_EQ(got, fold(row))
+          << kernels::name(kind) << " n=" << row.size();
+    }
+    const std::vector<float> all_masked(9, -inf);
+    EXPECT_EQ(kernels::max_row(all_masked.data(), 9), -inf);
+
+    // NaN contract: NaN elements are skipped, wherever they sit.
+    for (int n : {1, 5, 8, 9, 17}) {
+      std::vector<float> row(static_cast<std::size_t>(n), nan);
+      EXPECT_EQ(kernels::max_row(row.data(), n), -inf) << kernels::name(kind);
+      row[static_cast<std::size_t>(n) / 2] = 3.0f;
+      row.back() = n > 1 ? -1.0f : 3.0f;
+      EXPECT_EQ(kernels::max_row(row.data(), n), 3.0f) << kernels::name(kind);
+    }
+    EXPECT_EQ(kernels::max_row(nullptr, 0), -inf) << kernels::name(kind);
   }
 }
 
