@@ -40,7 +40,7 @@
 #   BT_PERF_BASELINE=file  google-benchmark JSON of a pre-change run to embed
 #                          under "baseline" in BENCH_fig15.json
 #
-# Kernels that are unsupported on the host (e.g. avx2 in a portable build)
+# Kernels that are unsupported on the host (e.g. avx512 on an AVX2-only CPU)
 # fall back at dispatch; each record's "kernel" field is the variant that
 # actually ran, so merged files never lie about what was measured.
 set -euo pipefail
@@ -72,7 +72,7 @@ else
   FIG15_ARGS+=(--benchmark_min_time=0.1)
 fi
 
-for kernel in scalar vec avx2; do
+for kernel in scalar vec avx2 avx512; do
   echo "== BT_GEMM_KERNEL=$kernel bench_gemm_kernels" >&2
   BT_GEMM_KERNEL=$kernel "$BUILD/bench_gemm_kernels" "${GEMM_ARGS[@]}" \
       > "$TMP/gemm_$kernel.json"
@@ -153,7 +153,7 @@ def records(path, requested):
                 rec[key] = b[key]
         yield ctx, rec
 
-def merge(stem, out_name, extra=None, kernels=("scalar", "vec", "avx2")):
+def merge(stem, out_name, extra=None, kernels=("scalar", "vec", "avx2", "avx512")):
     context, results = {}, []
     for kernel in kernels:
         path = os.path.join(tmp, f"{stem}_{kernel}.json")

@@ -1,5 +1,5 @@
 // Kernel selection: cpuid-style detection once at startup, overridable via
-// BT_GEMM_KERNEL=scalar|vec|avx2 for A/B benchmarking, and force() for
+// BT_GEMM_KERNEL=scalar|vec|avx2|avx512 for A/B benchmarking, and force() for
 // tests. The active kernel's primitives are stored as atomic function
 // pointers so each hot-path dispatch is a single relaxed load.
 #include "gemm/kernels/kernel.h"
@@ -24,18 +24,31 @@ bool host_has_avx2_fma() noexcept {
 #endif
 }
 
+bool host_has_avx512f() noexcept {
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 Kind detect_best() noexcept {
+  if (supported(Kind::kAvx512)) return Kind::kAvx512;
   if (supported(Kind::kAvx2)) return Kind::kAvx2;
   return Kind::kVec;
 }
 
-Kind initial_kind() noexcept {
-  const char* env = std::getenv("BT_GEMM_KERNEL");
+}  // namespace
+
+namespace detail {
+
+Kind kind_for_env(const char* env) noexcept {
   if (env == nullptr || env[0] == '\0') return detect_best();
   Kind requested;
   if (!parse(env, &requested)) {
     std::fprintf(stderr,
-                 "bt: BT_GEMM_KERNEL=%s is not one of scalar|vec|avx2; "
+                 "bt: BT_GEMM_KERNEL=%s is not one of scalar|vec|avx2|avx512; "
                  "using %s\n",
                  env, name(detect_best()));
     return detect_best();
@@ -50,13 +63,17 @@ Kind initial_kind() noexcept {
   return requested;
 }
 
+}  // namespace detail
+
+namespace {
+
 struct State {
   std::atomic<Kind> kind;
   std::atomic<TileMultiplyFn> fn;
   std::atomic<ExpRowFn> exp_row;
   std::atomic<MaxRowFn> max_row;
   std::atomic<BiasGeluRowFn> bias_gelu_row;
-  State() { set(initial_kind()); }
+  State() { set(detail::kind_for_env(std::getenv("BT_GEMM_KERNEL"))); }
   void set(Kind k) noexcept {
     kind.store(k, std::memory_order_relaxed);
     fn.store(kernels::fn(k), std::memory_order_relaxed);
@@ -79,6 +96,7 @@ const char* name(Kind kind) noexcept {
     case Kind::kScalar: return "scalar";
     case Kind::kVec: return "vec";
     case Kind::kAvx2: return "avx2";
+    case Kind::kAvx512: return "avx512";
   }
   return "?";
 }
@@ -90,6 +108,8 @@ bool parse(std::string_view text, Kind* out) noexcept {
     *out = Kind::kVec;
   } else if (text == "avx2") {
     *out = Kind::kAvx2;
+  } else if (text == "avx512") {
+    *out = Kind::kAvx512;
   } else {
     return false;
   }
@@ -103,6 +123,10 @@ bool supported(Kind kind) noexcept {
       return true;
     case Kind::kAvx2:
       return detail::avx2_kernel_compiled() && host_has_avx2_fma();
+    case Kind::kAvx512:
+      // The avx512 kind runs the avx2 row primitives.
+      return detail::avx512_kernel_compiled() && host_has_avx512f() &&
+             supported(Kind::kAvx2);
   }
   return false;
 }
@@ -112,6 +136,7 @@ TileMultiplyFn fn(Kind kind) noexcept {
     case Kind::kScalar: return &tile_multiply_scalar;
     case Kind::kVec: return &tile_multiply_vec;
     case Kind::kAvx2: return &tile_multiply_avx2;
+    case Kind::kAvx512: return &tile_multiply_avx512;
   }
   return &tile_multiply_scalar;
 }
@@ -120,7 +145,8 @@ ExpRowFn exp_row_fn(Kind kind) noexcept {
   switch (kind) {
     case Kind::kScalar: return &exp_row_scalar;
     case Kind::kVec: return &exp_row_vec;
-    case Kind::kAvx2: return &exp_row_avx2;
+    case Kind::kAvx2:
+    case Kind::kAvx512: return &exp_row_avx2;
   }
   return &exp_row_scalar;
 }
@@ -129,7 +155,8 @@ MaxRowFn max_row_fn(Kind kind) noexcept {
   switch (kind) {
     case Kind::kScalar: return &max_row_scalar;
     case Kind::kVec: return &max_row_vec;
-    case Kind::kAvx2: return &max_row_avx2;
+    case Kind::kAvx2:
+    case Kind::kAvx512: return &max_row_avx2;
   }
   return &max_row_scalar;
 }
@@ -138,7 +165,8 @@ BiasGeluRowFn bias_gelu_row_fn(Kind kind) noexcept {
   switch (kind) {
     case Kind::kScalar: return &bias_gelu_row_scalar;
     case Kind::kVec: return &bias_gelu_row_vec;
-    case Kind::kAvx2: return &bias_gelu_row_avx2;
+    case Kind::kAvx2:
+    case Kind::kAvx512: return &bias_gelu_row_avx2;
   }
   return &bias_gelu_row_scalar;
 }

@@ -17,23 +17,30 @@
 //     bias+GELU row epilogue (gemm/epilogues.h) and the standalone unfused
 //     kernel (kernels/activation.cc) both run it.
 //
-// Each primitive has three interchangeable implementations:
+// tile_multiply has four interchangeable implementations:
 //
 //   * kScalar — the plain triple loop (the original seed kernel; baseline)
 //   * kVec    — 8-wide GCC generic-vector kernel, portable to any ISA the
 //               compiler can lower 256-bit vectors to
 //   * kAvx2   — explicit 6x16 register-blocked AVX2+FMA kernel (six rows of
 //               two ymm accumulators held in registers across the k loop)
+//   * kAvx512 — explicit 6x64 register-blocked AVX-512 kernel (six rows of
+//               four zmm accumulators: a whole panel row per register row)
+//
+// The row primitives (exp_row, max_row, bias_gelu_row) have the scalar, vec
+// and avx2 implementations; the avx512 kind runs the avx2 ones.
 //
 // The active kernel is selected once at startup: BT_GEMM_KERNEL=scalar|vec|
-// avx2 overrides, otherwise cpuid-style detection picks the best supported
-// variant, for all primitives at once. All three tile_multiply variants
-// accumulate each output element over p in ascending order, so — provided
-// FMA contraction is uniform across the build (see BT_NATIVE_ARCH in
-// CMakeLists.txt) — they are bitwise interchangeable and A/B benchmarking
-// never changes results. The exp_row, max_row and bias_gelu_row variants
-// are bitwise interchangeable in every build: they use explicit FMAs only
-// (see gemm/kernels/exp_lane.h and gemm/kernels/row_lane.h).
+// avx2|avx512 overrides, otherwise cpuid-style detection picks the best
+// supported variant (avx512, then avx2, then vec), for all primitives at
+// once. All four tile_multiply variants accumulate each output element over
+// p in ascending order, so — provided FMA contraction is uniform across the
+// build (see BT_NATIVE_ARCH in CMakeLists.txt) — they are bitwise
+// interchangeable and A/B benchmarking never changes results; avx2 and
+// avx512 use explicit FMAs and agree bitwise in every build. The exp_row,
+// max_row and bias_gelu_row variants are bitwise interchangeable in every
+// build: they use explicit FMAs only (see gemm/kernels/exp_lane.h and
+// gemm/kernels/row_lane.h).
 #pragma once
 
 #include <string_view>
@@ -49,8 +56,8 @@ inline constexpr int kPanelM = 64;   // max rows per A panel / acc tile
 inline constexpr int kPanelN = 64;   // acc / B panel row width
 inline constexpr int kPanelK = 128;  // A panel row stride / max k per block
 
-enum class Kind : int { kScalar = 0, kVec = 1, kAvx2 = 2 };
-inline constexpr int kNumKinds = 3;
+enum class Kind : int { kScalar = 0, kVec = 1, kAvx2 = 2, kAvx512 = 3 };
+inline constexpr int kNumKinds = 4;
 
 using TileMultiplyFn = void (*)(const float* panel_a, int mc,
                                 const float* panel_b, int kc, float* acc);
@@ -76,15 +83,18 @@ using MaxRowFn = float (*)(const float* src, int n);
 using BiasGeluRowFn = void (*)(const float* src, const float* bias,
                                float* dst, int n);
 
-// The three implementations. The *_avx2 functions fall back to the vec
-// kernels when the toolchain could not build AVX2 code (kAvx2 is then never
-// selected by dispatch — supported(kAvx2) reports false).
+// The implementations. The *_avx2 functions fall back to the vec kernels
+// when the toolchain could not build AVX2 code (kAvx2 is then never selected
+// by dispatch — supported(kAvx2) reports false); tile_multiply_avx512 falls
+// back to the avx2 kernel likewise.
 void tile_multiply_scalar(const float* panel_a, int mc, const float* panel_b,
                           int kc, float* acc);
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
                        int kc, float* acc);
 void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
                         int kc, float* acc);
+void tile_multiply_avx512(const float* panel_a, int mc, const float* panel_b,
+                          int kc, float* acc);
 
 float exp_row_scalar(const float* src, float sub, float mul, float* dst, int n);
 float exp_row_vec(const float* src, float sub, float mul, float* dst, int n);
@@ -102,11 +112,13 @@ void bias_gelu_row_avx2(const float* src, const float* bias, float* dst,
 
 const char* name(Kind kind) noexcept;
 
-// Parses "scalar" / "vec" / "avx2"; returns false on anything else.
+// Parses "scalar" / "vec" / "avx2" / "avx512"; returns false on anything
+// else.
 bool parse(std::string_view text, Kind* out) noexcept;
 
 // Compile-time *and* runtime availability (kAvx2 needs both the kernel
-// compiled and the host CPU advertising AVX2+FMA).
+// compiled and the host CPU advertising AVX2+FMA; kAvx512 needs its kernel
+// compiled, AVX-512F on the host, and kAvx2 for its row primitives).
 bool supported(Kind kind) noexcept;
 
 // The kernel in use: BT_GEMM_KERNEL if set (unsupported or unparsable
@@ -139,6 +151,12 @@ namespace detail {
 // Whether avx2.cc was actually built with AVX2+FMA (CMake probes the flags;
 // portable builds compile it as a vec alias).
 bool avx2_kernel_compiled() noexcept;
+// Likewise for avx512.cc and -mavx512f -mfma -mf16c.
+bool avx512_kernel_compiled() noexcept;
+// The kernel active() starts with for a BT_GEMM_KERNEL value (nullptr when
+// unset): the requested kind when it parses and is supported, else the best
+// supported kind (bad values warn on stderr).
+Kind kind_for_env(const char* env) noexcept;
 }  // namespace detail
 
 }  // namespace bt::gemm::kernels

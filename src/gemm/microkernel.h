@@ -14,9 +14,9 @@
 //     vectorized pass per row, as the mainloop hook is per panel row.
 //
 // The inner product itself lives in gemm/kernels/ (runtime-dispatched
-// scalar / generic-vector / AVX2 microkernels); this header owns packing,
-// the k loop, and the epilogue. compute_tile_bsrc abstracts *where* the B
-// panel comes from — packed on the fly into scratch, served from a
+// scalar / generic-vector / AVX2 / AVX-512 microkernels); this header owns
+// packing, the k loop, and the epilogue. compute_tile_bsrc abstracts *where*
+// the B panel comes from — packed on the fly into scratch, served from a
 // persistent prepacked weight panel (gemm/packed.h), or from a per-CTA
 // column stripe reused across the tile_m loop.
 #pragma once

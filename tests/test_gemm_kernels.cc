@@ -3,7 +3,8 @@
 //     storage type x prepacked-vs-on-the-fly B against the FP64 reference,
 //   * bitwise cross-checks between forced kernel variants (the variants
 //     accumulate each output element over p ascending, so under uniform FMA
-//     contraction they are interchangeable to the last bit),
+//     contraction they are interchangeable to the last bit), and avx512
+//     against avx2 tile by tile in every build,
 //   * PackedB panel layout vs pack_b_panel,
 //   * the exp_row primitive: forced variants bitwise identical (any build),
 //     within 1 ulp of the correctly rounded exp, exact special values,
@@ -55,10 +56,18 @@ class KernelGuard {
 std::vector<kernels::Kind> supported_kinds() {
   std::vector<kernels::Kind> kinds;
   for (auto k : {kernels::Kind::kScalar, kernels::Kind::kVec,
-                 kernels::Kind::kAvx2}) {
+                 kernels::Kind::kAvx2, kernels::Kind::kAvx512}) {
     if (kernels::supported(k)) kinds.push_back(k);
   }
   return kinds;
+}
+
+// What detection picks absent a BT_GEMM_KERNEL override.
+kernels::Kind best_supported_kind() {
+  for (auto k : {kernels::Kind::kAvx512, kernels::Kind::kAvx2}) {
+    if (kernels::supported(k)) return k;
+  }
+  return kernels::Kind::kVec;
 }
 
 // (kernel, ta, tb, m, n, k, alpha, beta, prepacked)
@@ -189,6 +198,39 @@ TEST(KernelBitwise, ForcedVariantsAgreeBitwise) {
   }
 }
 #endif  // __FMA__
+
+// avx2 and avx512 both spell every FMA explicitly, so the tile kernels agree
+// bitwise in every build: no __FMA__ gate. Every mc in 1..64 covers each
+// 6-row remainder block; the incoming acc is nonzero, as it is for every
+// k block after the first.
+TEST(TileMultiply, Avx512MatchesAvx2Bitwise) {
+  if (!kernels::supported(kernels::Kind::kAvx512)) {
+    GTEST_SKIP() << "avx512 kernel not supported on this build/host";
+  }
+  const kernels::TileMultiplyFn avx2 = kernels::fn(kernels::Kind::kAvx2);
+  const kernels::TileMultiplyFn avx512 = kernels::fn(kernels::Kind::kAvx512);
+  Rng rng(41);
+  std::vector<float> a(static_cast<std::size_t>(kernels::kPanelM) *
+                       kernels::kPanelK);
+  std::vector<float> b(static_cast<std::size_t>(kernels::kPanelK) *
+                       kernels::kPanelN);
+  std::vector<float> acc0(static_cast<std::size_t>(kernels::kPanelM) *
+                          kernels::kPanelN);
+  for (float& x : a) x = rng.normal();
+  for (float& x : b) x = rng.normal();
+  for (float& x : acc0) x = 4.0f * rng.normal();
+  for (int kc : {1, 7, 63, 64, 127, 128}) {
+    for (int mc = 1; mc <= kernels::kPanelM; ++mc) {
+      std::vector<float> want = acc0;
+      std::vector<float> got = acc0;
+      avx2(a.data(), mc, b.data(), kc, want.data());
+      avx512(a.data(), mc, b.data(), kc, got.data());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0)
+          << "mc=" << mc << " kc=" << kc;
+    }
+  }
+}
 
 // exp_row uses explicit FMAs and integer exponent scaling only, so unlike
 // tile_multiply its variants agree bitwise in portable builds too: no
@@ -481,7 +523,7 @@ TEST(MaxRow, EqualsStdMaxFoldAndSkipsNaN) {
   }
 }
 
-TEST(KernelDispatch, ParseAcceptsExactlyTheThreeNames) {
+TEST(KernelDispatch, ParseAcceptsExactlyTheKernelNames) {
   kernels::Kind k;
   EXPECT_TRUE(kernels::parse("scalar", &k));
   EXPECT_EQ(k, kernels::Kind::kScalar);
@@ -489,8 +531,11 @@ TEST(KernelDispatch, ParseAcceptsExactlyTheThreeNames) {
   EXPECT_EQ(k, kernels::Kind::kVec);
   EXPECT_TRUE(kernels::parse("avx2", &k));
   EXPECT_EQ(k, kernels::Kind::kAvx2);
+  EXPECT_TRUE(kernels::parse("avx512", &k));
+  EXPECT_EQ(k, kernels::Kind::kAvx512);
   EXPECT_FALSE(kernels::parse("", &k));
   EXPECT_FALSE(kernels::parse("AVX2", &k));
+  EXPECT_FALSE(kernels::parse("avx512f", &k));
   EXPECT_FALSE(kernels::parse("sse", &k));
 }
 
@@ -503,16 +548,58 @@ TEST(KernelDispatch, ScalarAndVecAlwaysSupported) {
     (defined(__GNUC__) || defined(__clang__))
 // CMake compiles avx2.cc with its own -mavx2 -mfma -mf16c in every build,
 // BT_NATIVE_ARCH=OFF included, so on x86 the AVX2 kernels always exist and
-// detection (absent a BT_GEMM_KERNEL override) selects them on AVX2+FMA
-// hosts.
+// are supported on AVX2+FMA hosts; detection (absent a BT_GEMM_KERNEL
+// override) selects the best supported kind, avx512 where it runs.
 TEST(KernelDispatch, Avx2KernelsCompiledWithoutNativeArch) {
   EXPECT_TRUE(kernels::detail::avx2_kernel_compiled());
-  if (std::getenv("BT_GEMM_KERNEL") == nullptr &&
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    EXPECT_EQ(kernels::active(), kernels::Kind::kAvx2);
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    EXPECT_TRUE(kernels::supported(kernels::Kind::kAvx2));
+    if (std::getenv("BT_GEMM_KERNEL") == nullptr) {
+      EXPECT_EQ(kernels::active(), best_supported_kind());
+    }
+  }
+}
+
+// Likewise avx512.cc gets its own -mavx512f -mfma -mf16c, and detection
+// prefers it on AVX-512F hosts.
+TEST(KernelDispatch, Avx512KernelCompiledWithoutNativeArch) {
+  EXPECT_TRUE(kernels::detail::avx512_kernel_compiled());
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2") &&
+      __builtin_cpu_supports("fma")) {
+    EXPECT_TRUE(kernels::supported(kernels::Kind::kAvx512));
+    if (std::getenv("BT_GEMM_KERNEL") == nullptr) {
+      EXPECT_EQ(kernels::active(), kernels::Kind::kAvx512);
+    }
   }
 }
 #endif
+
+// A forced-kernel run (BT_GEMM_KERNEL=<kind> ./test_...) must run that
+// kernel, not silently the detected one: in such a run active() is the
+// requested kind. Every run also checks the selection itself for each
+// supported kind, and the fallback for unset, unparsable and unsupported
+// values.
+TEST(KernelDispatch, EnvOverrideIsHonouredWhenSupported) {
+  const char* env = std::getenv("BT_GEMM_KERNEL");
+  kernels::Kind requested;
+  if (env != nullptr && kernels::parse(env, &requested) &&
+      kernels::supported(requested)) {
+    EXPECT_EQ(kernels::active(), requested) << env;
+  }
+  for (auto kind : supported_kinds()) {
+    EXPECT_EQ(kernels::detail::kind_for_env(kernels::name(kind)), kind)
+        << kernels::name(kind);
+  }
+  const kernels::Kind best = best_supported_kind();
+  EXPECT_EQ(kernels::detail::kind_for_env(nullptr), best);
+  EXPECT_EQ(kernels::detail::kind_for_env(""), best);
+  EXPECT_EQ(kernels::detail::kind_for_env("sse"), best);
+  for (auto kind : {kernels::Kind::kAvx2, kernels::Kind::kAvx512}) {
+    if (!kernels::supported(kind)) {
+      EXPECT_EQ(kernels::detail::kind_for_env(kernels::name(kind)), best);
+    }
+  }
+}
 
 TEST(KernelDispatch, ForceRoundTripsAndRejectsUnsupported) {
   KernelGuard guard;
@@ -520,9 +607,10 @@ TEST(KernelDispatch, ForceRoundTripsAndRejectsUnsupported) {
     EXPECT_TRUE(kernels::force(kind));
     EXPECT_EQ(kernels::active(), kind);
   }
-  if (!kernels::supported(kernels::Kind::kAvx2)) {
+  for (auto kind : {kernels::Kind::kAvx2, kernels::Kind::kAvx512}) {
+    if (kernels::supported(kind)) continue;
     const auto before = kernels::active();
-    EXPECT_FALSE(kernels::force(kernels::Kind::kAvx2));
+    EXPECT_FALSE(kernels::force(kind));
     EXPECT_EQ(kernels::active(), before);
   }
 }
