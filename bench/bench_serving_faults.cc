@@ -33,7 +33,7 @@ namespace {
 constexpr int kFaultRequests = 64;
 constexpr int kFaultMaxSeq = 128;
 constexpr int kFaultBatchCap = 8;
-constexpr double kFaultRps = 4000.0;  // saturating, as in BM_ServingWire
+constexpr double kFaultRps = 4000.0;  // saturating: arrivals outpace compute
 constexpr int kFaultConns = 4;
 
 std::shared_ptr<const core::BertModel> fault_model() {

@@ -5,31 +5,17 @@
 #   BENCH_gemm.json    — GFLOP/s per kernel x shape x operand regime
 #   BENCH_fig15.json   — end-to-end BERT (BM_Fig15_ByteTransformer) ms and
 #                        tokens/s per kernel variant
-#   BENCH_serving.json — one-model Service requests/s and p50/p99 end-to-end
-#                        latency at 1/2/4 replicas (BM_ServingPool, default
-#                        GEMM kernel dispatch)
-#   BENCH_serving_multimodel.json — multi-model + sticky-session Service
-#                        scenario (BM_ServingService): req/s, p50/p99, and
-#                        the session sticky-hit rate at 1/2 replicas per
-#                        model
-#   BENCH_serving_wire.json — socket front-end overhead (BM_ServingWire):
-#                        the same trace via in-process futures (wire=0) vs
-#                        loopback TCP through net::Server (wire=1)
 #   BENCH_serving_faults.json — resilience cost (BM_ServingFaults): req/s
 #                        and p50/p99 at 0%/1%/5% injected fault rate with
 #                        retrying clients, plus frames re-sent per run
-#   BENCH_serving_cache.json — prefix-activation-cache multiplier
-#                        (BM_ServingCache cache:0 vs cache:1): submitted
-#                        tokens/s, hit rate, saved-token %, per-round
-#                        computed-suffix percentiles, and the
-#                        budget-pressure arm (BM_ServingCachePressure) whose
-#                        evictions/bytes_peak_pct prove the byte ceiling
-#                        held under displacement
 #   BENCH_obs.json     — telemetry overhead (bench_obs): recording-primitive
-#                        ns/op with the obs kill switch off/on, and the paired
-#                        BM_ServingService replay (req_s_obs0 vs req_s_obs1,
-#                        alternating arms); overhead_pct must stay under 2%
-#                        (docs/OBSERVABILITY.md)
+#                        ns/op with the obs kill switch off/on, and a paired
+#                        multi-model sticky-session Service replay
+#                        (req_s_obs0 vs req_s_obs1, alternating arms);
+#                        overhead_pct must stay under 2% (docs/OBSERVABILITY.md)
+#
+# Serving throughput and latency end to end (wire, replicas, prefix cache)
+# are measured by perfbench (`python3 perfbench/run.py`), not here.
 #
 # Usage:  bench/run_perf.sh [build_dir] [out_dir]
 #   build_dir  cmake build tree holding the bench binaries  (default: build)
@@ -53,8 +39,7 @@ SMOKE=${BT_PERF_SMOKE:-0}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-if [[ ! -x "$BUILD/bench_gemm_kernels" || ! -x "$BUILD/bench_fig15_e2e_bert" \
-      || ! -x "$BUILD/bench_serving_pool" ]]; then
+if [[ ! -x "$BUILD/bench_gemm_kernels" || ! -x "$BUILD/bench_fig15_e2e_bert" ]]; then
   echo "error: bench binaries not found under '$BUILD' (build with the" >&2
   echo "       google-benchmark package installed)" >&2
   exit 1
@@ -81,36 +66,11 @@ for kernel in scalar vec avx2 avx512; do
       > "$TMP/fig15_$kernel.json"
 done
 
-# Serving pool: replica scaling under the default (best) kernel dispatch.
-echo "== bench_serving_pool" >&2
-"$BUILD/bench_serving_pool" --benchmark_format=json \
-    --benchmark_filter='BM_ServingPool' > "$TMP/serving_default.json"
-
-# Serving service: multi-model + sticky-session front-end scenario.
-echo "== bench_serving_pool (BM_ServingService)" >&2
-"$BUILD/bench_serving_pool" --benchmark_format=json \
-    --benchmark_filter='BM_ServingService' > "$TMP/multimodel_default.json"
-
-# Serving wire: loopback-socket front-end vs in-process submission.
-if [[ -x "$BUILD/bench_serving_wire" ]]; then
-  echo "== bench_serving_wire" >&2
-  "$BUILD/bench_serving_wire" --benchmark_format=json \
-      --benchmark_filter='BM_ServingWire' > "$TMP/wire_default.json"
-fi
-
 # Serving faults: throughput/latency at increasing injected fault rates.
 if [[ -x "$BUILD/bench_serving_faults" ]]; then
   echo "== bench_serving_faults" >&2
   "$BUILD/bench_serving_faults" --benchmark_format=json \
       --benchmark_filter='BM_ServingFaults' > "$TMP/faults_default.json"
-fi
-
-# Serving cache: conversation replay with the prefix cache off/on, plus the
-# budget-pressure arm.
-if [[ -x "$BUILD/bench_serving_cache" ]]; then
-  echo "== bench_serving_cache" >&2
-  "$BUILD/bench_serving_cache" --benchmark_format=json \
-      --benchmark_filter='BM_ServingCache' > "$TMP/cache_default.json"
 fi
 
 # Telemetry overhead: recording primitives + the service replay, obs off/on.
@@ -143,12 +103,8 @@ def records(path, requested):
             "cpu_time_ms": b["cpu_time"],
         }
         for key in ("gflops", "tokens_s", "alpha", "pad_waste",
-                    "req_s", "p50_ms", "p99_ms", "replicas", "models",
-                    "session_hit", "wire", "fault_pct", "retries", "obs",
-                    "req_s_obs0", "req_s_obs1", "overhead_pct",
-                    "cache", "rounds", "sessions", "hit_rate", "saved_pct",
-                    "suffix_p50", "suffix_p99", "evictions",
-                    "bytes_peak_pct"):
+                    "req_s", "p50_ms", "p99_ms", "fault_pct", "retries",
+                    "obs", "req_s_obs0", "req_s_obs1", "overhead_pct"):
             if key in b:
                 rec[key] = b[key]
         yield ctx, rec
@@ -190,16 +146,10 @@ if baseline_path:
 
 merge("gemm", "BENCH_gemm.json")
 merge("fig15", "BENCH_fig15.json", extra)
-# The pool/service benches run once under the default dispatch ("kernel"
-# still records which microkernel actually served the GEMMs).
-merge("serving", "BENCH_serving.json", kernels=("default",))
-merge("multimodel", "BENCH_serving_multimodel.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "wire_default.json")):
-    merge("wire", "BENCH_serving_wire.json", kernels=("default",))
+# The serving benches run once under the default dispatch ("kernel" still
+# records which microkernel actually served the GEMMs).
 if os.path.exists(os.path.join(tmp, "faults_default.json")):
     merge("faults", "BENCH_serving_faults.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "cache_default.json")):
-    merge("cache", "BENCH_serving_cache.json", kernels=("default",))
 if os.path.exists(os.path.join(tmp, "obs_default.json")):
     merge("obs", "BENCH_obs.json", kernels=("default",))
 PY

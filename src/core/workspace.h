@@ -50,8 +50,8 @@ class Workspace {
   }
 
   // Cumulative count of (re)allocations performed by get(). Steady-state
-  // reuse holds this constant — the observable the per-session workspace
-  // tests pin (a session's follow-up request must not allocate).
+  // reuse holds this constant — the observable the engine's follow-up tests
+  // pin (a round no larger than one already seen must not allocate).
   std::size_t allocations() const { return allocations_; }
 
  private:

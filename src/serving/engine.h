@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -63,22 +62,6 @@ struct EngineOptions {
                                    // (always admits at least one request)
   int threads = 0;               // engine Device workers; 0 = global pool
   std::size_t scratch_bytes = par::CtaScratch::kDefaultBytes;
-  // Per-session workspace cache: when every request of a round carries the
-  // same Request::session, the round runs on that session's own Workspace,
-  // so a conversational follow-up finds its buffers already sized (zero
-  // allocations — EngineStats::workspace_allocations is the proof) instead
-  // of resizing the engine-wide scratch behind other sessions' traffic. At
-  // most this many sessions keep a workspace; evicting the least-recently-
-  // used session recycles its buffers into the incoming one, so traffic
-  // with more live sessions than the cap costs a cache miss, never a round
-  // of reallocation. Each retained workspace holds a full set of
-  // activation-sized buffers, so the cache is opt-in: -1 (the default)
-  // means auto — disabled on a standalone Engine, while a Service replica
-  // group raises it to kStickySessionWorkspaces for replicas of a
-  // pool routed with RoutePolicy::kStickySession (the policy whose whole
-  // point is landing a session where its workspace is warm). 0 forces the
-  // cache off even under sticky routing; > 0 sets the cap explicitly.
-  int session_workspaces = -1;
   // Prefix activation cache (cache/prefix_cache.h), default off. When set,
   // sessioned requests whose input extends a previously-encoded prefix skip
   // re-encoding it: the engine resumes from the cached per-layer state and
@@ -129,9 +112,9 @@ struct Request {
   std::optional<std::string> model = std::nullopt;
   // Session identity for conversational traffic. Under
   // RoutePolicy::kStickySession the session is pinned to the replica that
-  // served its first request, and the replica keeps a per-session Workspace
-  // (EngineOptions::session_workspaces) so follow-ups skip reallocation.
-  // Sessionless requests behave exactly as before.
+  // served its first request, and with EngineOptions::prefix_cache set a
+  // follow-up that extends the session's cached prefix computes only its
+  // suffix. Sessionless requests behave exactly as before.
   std::optional<std::string> session = std::nullopt;
 };
 
@@ -246,12 +229,11 @@ struct EngineStats {
   long long processed_tokens = 0;  // per-policy padded-token accounting
   double compute_seconds = 0;
 
-  // Session workspace reuse (Engine-maintained): requests of rounds served
-  // from an already-warm per-session workspace vs. rounds that created one.
+  // Always 0, neither merged nor published: kept for perfbench's harness.
   long long session_ws_hits = 0;
   long long session_ws_misses = 0;
-  // Cumulative Workspace::allocations() across the engine-wide and every
-  // retained session workspace, as of the last round.
+  // Cumulative Workspace::allocations() of the engine-wide workspace, as of
+  // the last round: flat once it has seen the largest round.
   long long workspace_allocations = 0;
 
   // Deadline accounting (Service-replica-maintained; the synchronous Engine
@@ -291,8 +273,6 @@ struct EngineStats {
     valid_tokens += o.valid_tokens;
     processed_tokens += o.processed_tokens;
     compute_seconds += o.compute_seconds;
-    session_ws_hits += o.session_ws_hits;
-    session_ws_misses += o.session_ws_misses;
     workspace_allocations += o.workspace_allocations;
     deadline_met += o.deadline_met;
     deadline_missed += o.deadline_missed;
@@ -353,23 +333,10 @@ class Engine {
     std::optional<std::string> session;
   };
 
-  // Workspace for the round formed by the first `count` queued requests:
-  // when all of them carry the same session id (the conversational
-  // turn-taking shape sticky routing produces) the session's cached
-  // workspace — created/refreshed under the LRU cap, hit/miss accounted;
-  // otherwise the engine-wide one.
-  core::Workspace& round_workspace(std::size_t count);
-  void refresh_workspace_allocations();
-
   EngineOptions opts_;
   std::shared_ptr<const core::BertModel> model_;
   par::Device dev_;
-  core::Workspace ws_;
-  struct SessionWorkspace {
-    std::string session;
-    core::Workspace ws;
-  };
-  std::list<SessionWorkspace> session_ws_;  // LRU order: back = most recent
+  core::Workspace ws_;  // grow-only; every round reuses it
   std::deque<Pending> queue_;
   RequestIdTracker ids_;  // rejects duplicate caller-supplied ids
   EngineStats stats_;

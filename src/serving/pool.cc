@@ -100,12 +100,6 @@ EngineOptions replica_engine_options(const std::string& name,
                                      const EnginePoolOptions& opts) {
   EngineOptions eo = opts.engine.engine;
   eo.threads = resolve_threads_per_replica(opts);
-  if (opts.route == RoutePolicy::kStickySession && eo.session_workspaces < 0) {
-    // Sticky routing exists to land sessions on warm workspaces; give the
-    // replicas the cache unless the caller sized it explicitly (0 = a
-    // deliberate off, which stays off).
-    eo.session_workspaces = kStickySessionWorkspaces;
-  }
   // The registry model name is the natural prefix-cache scope, so sessions
   // of different models can never collide in a shared cache. An explicit
   // cache_scope wins.

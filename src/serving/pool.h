@@ -94,12 +94,6 @@ class MetricRegistry;  // obs/metrics.h — publish_stats target
 
 namespace bt::serving {
 
-// Session-workspace cache depth EnginePool configures on each replica when
-// the pool routes with RoutePolicy::kStickySession and the caller left
-// EngineOptions::session_workspaces at -1 (auto); an explicit value — 0
-// (off) included — always wins.
-inline constexpr int kStickySessionWorkspaces = 8;
-
 // Per-replica scheduling knobs.
 struct ReplicaOptions {
   EngineOptions engine;            // policy, caps, flags of the inner Engine

@@ -22,8 +22,8 @@
 //                                of a session routes least-outstanding-
 //                                tokens and pins the session to that
 //                                replica; every follow-up goes to the pin,
-//                                so the replica's per-session workspace
-//                                (engine.h) is already sized for it.
+//                                where the session's prefix-cache entry
+//                                (cache/prefix_cache.h) lives.
 //                                Sessionless requests fall back to
 //                                least-outstanding-tokens and never pin.
 //                                Pins are a bounded LRU (kStickyMaxPins):

@@ -11,9 +11,8 @@
 // admission, deadline shedding, bounded queues — so round k's compute
 // overlaps the arrival of round k+1. Sessions ride along: under
 // RoutePolicy::kStickySession a model's router pins each Request::session
-// to the replica that served its first request, and that replica's
-// per-session workspace (EngineOptions::session_workspaces) makes the
-// follow-up allocation-free.
+// to the replica that served its first request, so a follow-up lands next
+// to the session's prefix-cache entry (EngineOptions::prefix_cache).
 //
 //   serving::ModelRegistry registry;
 //   registry.add("bert-base", base_model, pool_opts);
@@ -23,7 +22,7 @@
 //   serving::Request req;
 //   req.hidden = std::move(hidden);
 //   req.model = "bert-large";        // nullopt -> default model
-//   req.session = "conv-42";        // sticky routing + warm workspace
+//   req.session = "conv-42";        // sticky routing + prefix reuse
 //   auto fut = service.submit(std::move(req));
 //   serving::Response r = fut.get(); // r.model / r.replica / r.session
 //   service.stop();                  // drains every model's pool
